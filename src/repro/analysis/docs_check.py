@@ -228,13 +228,16 @@ def _check_rule_coverage(root: Path) -> list[Finding]:
 #: names (CamelCase ending in the taxonomy's participle vocabulary).
 _EVENTISH = re.compile(
     r"`([A-Z][A-Za-z]*(?:Fired|Ended|Executed|Switched|Requested|Completed"
-    r"|Reallocated|Failed|Injected|Detected|Quarantined|Repaired|Retried)"
-    r"|Tick)`"
+    r"|Reallocated|Failed|Injected|Detected|Quarantined|Repaired|Retried))`"
 )
 #: Backticked handler names (``_trace_forecast`` style) in the docs.
 _HANDLERISH = re.compile(r"`(_[a-z][a-z0-9_]*)`")
 #: Backticked priority-band constants.
 _PRIORITYISH = re.compile(r"`(PRIORITY_[A-Z_]+)`")
+#: A dispatch-order table row: ``| `Event` | `_a` → `_b` |``.
+_ORDER_ROW = re.compile(
+    r"^\|\s*`([A-Za-z]+)`\s*\|\s*(`_[a-z0-9_]+`(?:\s*→\s*`_[a-z0-9_]+`)*)\s*\|\s*$"
+)
 
 
 def _check_events_coverage(root: Path) -> list[Finding]:
@@ -243,7 +246,9 @@ def _check_events_coverage(root: Path) -> list[Finding]:
     Forward: every event type, every default-wiring handler and every
     priority band must appear in the doc.  Reverse: every backticked
     event/handler/priority token in the doc must exist in
-    :mod:`repro.runtime.events`.
+    :mod:`repro.runtime.events`.  The dispatch-order table is the spec:
+    each of its rows must list exactly the handlers the bus dispatches
+    for that event, in that order.
     """
     from ..runtime import events as ev
 
@@ -282,9 +287,19 @@ def _check_events_coverage(root: Path) -> list[Finding]:
             findings.append(
                 Finding(rel, 1, f"priority band {name!r} is not documented")
             )
+    expected = {
+        event_type.__name__: [handler.__name__ for handler in handlers]
+        for event_type, handlers in ev.compile_wiring().items()
+    }
+    documented: dict[str, tuple[int, list[str]]] = {}
     for number, line, fenced in _iter_lines(doc):
         if fenced:
             continue
+        row = _ORDER_ROW.match(line)
+        if row is not None:
+            documented[row.group(1)] = (
+                number, re.findall(r"`(_[a-z0-9_]+)`", row.group(2))
+            )
         for match in _EVENTISH.finditer(line):
             if match.group(1) not in event_names:
                 findings.append(
@@ -311,6 +326,22 @@ def _check_events_coverage(root: Path) -> list[Finding]:
                         f"unknown priority band {match.group(1)!r}",
                     )
                 )
+    for name, handlers in expected.items():
+        if name not in documented:
+            findings.append(
+                Finding(
+                    rel, 1,
+                    f"dispatch order table has no row for {name}",
+                )
+            )
+        elif documented[name][1] != handlers:
+            findings.append(
+                Finding(
+                    rel, documented[name][0],
+                    f"dispatch order of {name} is documented as "
+                    f"{documented[name][1]}, the bus dispatches {handlers}",
+                )
+            )
     return findings
 
 

@@ -1,13 +1,11 @@
-"""Event-bus wiring checker (rules EVT001..EVT003).
+"""Event-bus wiring checker (rules EVT002..EVT003).
 
 The runtime core publishes typed events through
-:mod:`repro.runtime.events`; the trace byte-identity contract with the
-pre-bus loop rests on three structural facts, each machine-checked
-here against an :class:`~repro.analysis.registry.EventBusArtifact`:
+:mod:`repro.runtime.events`, whose bus compiles
+:data:`~repro.runtime.events.DEFAULT_WIRING` once into a fixed dispatch
+table.  Two structural facts about that table are machine-checked here
+against an :class:`~repro.analysis.registry.EventBusArtifact`:
 
-* **EVT001** — the live bus wiring (per event type, in dispatch order)
-  is exactly :data:`~repro.runtime.events.DEFAULT_WIRING`, the
-  documented ordering of ``docs/events.md``.
 * **EVT002** — for every traced event, the trace recorder runs first
   (:data:`~repro.runtime.events.PRIORITY_TRACE`, strictly below every
   other priority band), so state-mutating handlers cannot perturb what
@@ -17,11 +15,13 @@ here against an :class:`~repro.analysis.registry.EventBusArtifact`:
   :class:`~repro.sim.trace.EventKind` is either produced by exactly one
   bus event or declared bus-external in
   :data:`~repro.runtime.events.NON_BUS_KINDS`.
+
+The order of the whole table is held to ``docs/events.md`` by
+:mod:`repro.analysis.docs_check`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 
 from .diagnostics import Diagnostic
@@ -33,75 +33,54 @@ from .rules import diag
 def check_event_bus(
     artifact: EventBusArtifact, ctx: LintContext
 ) -> Iterator[Diagnostic]:
-    from ..runtime.events import (
-        DEFAULT_WIRING,
-        EVENT_TYPES,
-        NON_BUS_KINDS,
-        PRIORITY_TRACE,
-    )
+    from ..runtime.events import EVENT_TYPES, NON_BUS_KINDS, PRIORITY_TRACE
     from ..sim.trace import EventKind
 
-    bus = artifact.bus
-    assert bus is not None  # __post_init__ fills in the default bus
-    subject = artifact.subject or ctx.subject or "events:bus"
-
-    # EVT001: live wiring == documented wiring, order included.
-    documented: dict[str, list[tuple[int, str]]] = {
-        event_type.__name__: [] for event_type in EVENT_TYPES
-    }
-    for event_type, priority, handler in DEFAULT_WIRING:
-        documented[event_type.__name__].append((priority, handler.__name__))
-    live = bus.wiring()
-    for name, expected in documented.items():
-        actual = list(live.get(name, ()))
-        if actual != expected:
-            yield diag(
-                "EVT001",
-                f"wiring of {name} diverges from the documented default: "
-                f"expected {expected}, bus dispatches {actual}",
-                subject=subject,
-                location=name,
-                expected=[list(e) for e in expected],
-                actual=[list(a) for a in actual],
-            )
+    wiring = artifact.wiring
+    assert wiring is not None  # __post_init__ fills in DEFAULT_WIRING
+    subject = artifact.subject or ctx.subject or "events:wiring"
 
     # EVT002: trace handlers go first, and only they sit in the trace band.
     for event_type in EVENT_TYPES:
-        subs = bus.subscriptions(event_type)
+        rows = sorted(
+            ((priority, handler.__name__) for t, priority, handler in wiring
+             if t is event_type),
+            key=lambda row: row[0],
+        )
         name = event_type.__name__
         if event_type.TRACE_KIND is not None:
-            if not subs:
+            if not rows:
                 yield diag(
                     "EVT002",
-                    f"traced event {name} has no subscribed handlers; "
+                    f"traced event {name} has no wired handlers; "
                     "its trace rows would silently vanish",
                     subject=subject,
                     location=name,
                 )
                 continue
-            first = subs[0]
-            if first.priority != PRIORITY_TRACE:
+            priority, first = rows[0]
+            if priority != PRIORITY_TRACE:
                 yield diag(
                     "EVT002",
                     f"first handler of traced event {name} is "
-                    f"{first.name} at priority {first.priority}, not a "
+                    f"{first} at priority {priority}, not a "
                     f"trace recorder at {PRIORITY_TRACE}",
                     subject=subject,
                     location=name,
-                    handler=first.name,
-                    priority=first.priority,
+                    handler=first,
+                    priority=priority,
                 )
-        for sub in subs:
-            if sub.priority == PRIORITY_TRACE and not sub.name.startswith(
+        for priority, handler_name in rows:
+            if priority == PRIORITY_TRACE and not handler_name.startswith(
                 "_trace"
             ):
                 yield diag(
                     "EVT002",
-                    f"handler {sub.name} of {name} occupies the trace "
+                    f"handler {handler_name} of {name} occupies the trace "
                     "priority band but is not a trace recorder",
                     subject=subject,
                     location=name,
-                    handler=sub.name,
+                    handler=handler_name,
                 )
 
     # EVT003: TRACE_KIND is injective and, with NON_BUS_KINDS, covers
@@ -143,19 +122,3 @@ def check_event_bus(
             subject=subject,
             kinds=stale,
         )
-
-    # A duplicate (event, handler) subscription would double-apply state
-    # transitions while keeping the wiring table superficially plausible.
-    for event_type in EVENT_TYPES:
-        names = Counter(s.name for s in bus.subscriptions(event_type))
-        for handler_name, count in sorted(names.items()):
-            if count > 1:
-                yield diag(
-                    "EVT001",
-                    f"handler {handler_name} is subscribed to "
-                    f"{event_type.__name__} {count} times",
-                    subject=subject,
-                    location=event_type.__name__,
-                    handler=handler_name,
-                    count=count,
-                )

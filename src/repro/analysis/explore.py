@@ -269,7 +269,6 @@ def _build_world(scope: ExploreScope, mutator: Mutator | None) -> _World:
         scope.containers,
         core_mhz=scope.core_mhz,
         bytes_per_us=scope.bytes_per_us,
-        optimize=False,
         faults=injector,
     )
     if mutator is not None:
@@ -525,6 +524,7 @@ def _state_key(world: _World, counts: dict[Action, int]) -> StateKey:
         windows,
         fault_key,
         rt._unplaced_for,
+        rt._plan_key,
         tuple(sorted(counts.items())),
     )
 
@@ -737,12 +737,18 @@ def _drain_witness(world: _World, bounds: _Bounds) -> None:
 
 def _check_mc006(world: _World) -> list[str]:
     """Replanning on a fork must be convergent: a second identical replan
-    round may not issue new rotations."""
+    round may not issue new rotations.
+
+    The plan key is cleared before the second round, so it re-runs
+    selection for real: a first round the replan-skip cache elided is
+    held to what a real replan would have done.
+    """
     rt = world.runtime
     if not rt._active:
         return []
     rt._request_replan(world.now)
     settled = rt.port.total_rotations()
+    rt._plan_key = None
     rt._request_replan(world.now)
     again = rt.port.total_rotations()
     if again > settled:

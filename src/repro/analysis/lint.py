@@ -34,7 +34,7 @@ if TYPE_CHECKING:
     from ..forecast.fdf import ForecastDecisionFunction
     from ..forecast.placement import ForecastPoint
     from ..hardware.reconfig import ReconfigurationPort, RotationJob
-    from ..runtime.events import EventBus
+    from ..runtime.events import Handler
 
 
 def lint_library(
@@ -107,16 +107,18 @@ def lint_rotations(
 
 
 def lint_events(
-    bus: "EventBus | None" = None,
+    wiring: "tuple[tuple[type, int, Handler], ...] | None" = None,
     *,
     subject: str = "",
 ) -> DiagnosticReport:
     """Event-bus wiring coherence checks (EVT rules).
 
-    ``bus=None`` checks a fresh default bus — the wiring every runtime
-    gets unless a caller injects its own.
+    ``wiring=None`` checks :data:`~repro.runtime.events.DEFAULT_WIRING`,
+    the table every runtime's bus compiles.
     """
-    artifact = EventBusArtifact(bus=bus, subject=subject or "events:default-bus")
+    artifact = EventBusArtifact(
+        wiring=wiring, subject=subject or "events:default-wiring"
+    )
     return run_checks(artifact, context=LintContext(subject=subject))
 
 
@@ -223,7 +225,7 @@ def lint_builtin(
         elif subject == "aes":
             report.merge(_aes_artifacts(containers))
         elif subject == "events":
-            report.merge(lint_events(subject="events:default-bus"))
+            report.merge(lint_events(subject="events:default-wiring"))
         else:
             raise ValueError(
                 f"unknown lint subject {subject!r}; "

@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # imported lazily to keep the module import-light
     from ..forecast.placement import ForecastPoint
     from ..hardware.energy import EnergyModel
     from ..hardware.reconfig import ReconfigurationPort, RotationJob
-    from ..runtime.events import EventBus
+    from ..runtime.events import Handler
     from ..sim.trace import Event, Trace
 
 
@@ -165,21 +165,20 @@ class FeasibilityArtifact:
 
 @dataclass
 class EventBusArtifact:
-    """A runtime event bus whose wiring is held to the documented default.
+    """An event wiring table, ``(event type, priority, handler)`` rows.
 
-    ``bus`` defaults to a fresh :func:`~repro.runtime.events.default_bus`
-    — the wiring every :class:`~repro.runtime.manager.RisppRuntime` gets
-    unless a caller injects its own.
+    ``wiring`` defaults to :data:`~repro.runtime.events.DEFAULT_WIRING`,
+    the table every :class:`~repro.runtime.events.EventBus` compiles.
     """
 
-    bus: "EventBus | None" = None
+    wiring: "tuple[tuple[type, int, Handler], ...] | None" = None
     subject: str = ""
 
     def __post_init__(self) -> None:
-        if self.bus is None:
-            from ..runtime.events import default_bus
+        if self.wiring is None:
+            from ..runtime.events import DEFAULT_WIRING
 
-            self.bus = default_bus()
+            self.wiring = DEFAULT_WIRING
 
 
 # ---------------------------------------------------------------------------

@@ -224,12 +224,9 @@ _rule("AUD011", "audit", Severity.WARNING,
 
 # -- events family: runtime event-bus wiring coherence ----------------------
 # The runtime core dispatches through the typed event bus
-# (``repro.runtime.events``); trace byte-identity with the pre-bus loop
-# rests on the wiring being exactly the documented one.  These rules
-# hold the live default bus to ``DEFAULT_WIRING`` and the event
-# taxonomy to the trace-kind vocabulary (``docs/events.md``).
-_rule("EVT001", "events", Severity.ERROR,
-      "event-bus wiring diverges from the documented default ordering", "§5")
+# (``repro.runtime.events``), which compiles ``DEFAULT_WIRING``.  These
+# rules hold that table's trace band and the event taxonomy to the
+# trace-kind vocabulary (``docs/events.md``).
 _rule("EVT002", "events", Severity.ERROR,
       "trace recorder is not the first handler of a traced event", "§5")
 _rule("EVT003", "events", Severity.ERROR,

@@ -5,8 +5,7 @@ static prover (:mod:`.feasibility`) to the rest of the repository:
 
 * :func:`verify_runtime` / :func:`verify_trace` — check a live
   :class:`~repro.runtime.manager.RisppRuntime` (the bench harness calls
-  this so "optimized == baseline" means *both traces verify* and their
-  signatures match, not merely raw list equality);
+  this so a trace that matches its pin must also satisfy the model);
 * :func:`run_verify_suite` — run one of the three shipped scenarios
   (``h264``/``aes``/``synthetic``), verify its trace and prove the
   library's feasibility bounds (``python -m repro verify --suite ...``);
@@ -245,23 +244,17 @@ class VerifyResult:
 
 def _scenario_h264(*, quick: bool) -> "tuple[RisppRuntime, list[object]]":
     from ..apps.h264 import build_h264_library
-    from ..bench.suites import H264_MACROBLOCK_CALLS, run_si_stream
+    from ..bench.suites import H264_FORECASTS, H264_MACROBLOCK_CALLS, run_si_stream
 
-    library = build_h264_library()
-    forecasts = [
-        ("SATD_4x4", 256.0), ("DCT_4x4", 24.0),
-        ("HT_4x4", 1.0), ("HT_2x2", 2.0),
-    ]
     runtime = run_si_stream(
-        library,
-        forecasts,
+        build_h264_library(),
+        list(H264_FORECASTS),
         list(H264_MACROBLOCK_CALLS),
         containers=6,
         block_rounds=3 if quick else 8,
-        optimize=True,
         energy_model=EnergyModel(),
     )
-    for si_name, _ in forecasts:
+    for si_name, _ in H264_FORECASTS:
         runtime.forecast_end(si_name, runtime.trace.last_cycle)
     runtime.advance(runtime.trace.last_cycle + 10_000_000)
     return runtime, []

@@ -11,9 +11,9 @@ on every push).  The schema is deliberately small and stable:
     suite              str     h264 | aes | synthetic
     quick              bool    reduced iteration counts (CI mode)
     python / platform  str     environment fingerprint
-    end_to_end         dict    baseline vs optimized wall time + speedup,
-                               the trace-equivalence verdict and the
-                               rispp-verify replay verdict
+    end_to_end         dict    scenario wall time, the trace digest and
+                               its pinned value (``trace_equal``), and
+                               the rispp-verify replay verdict
     stages             list    per-stage micro-benchmarks
     totals             dict    aggregate wall time
     metrics            dict    deterministic repro.obs snapshot of one
@@ -27,15 +27,20 @@ noisy estimator of the achievable time on a shared machine.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import platform
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable
 
 from ..obs.clock import perf_counter, utc_stamp
 from ..sim.trace import Trace
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+#: Committed trace digests; ``python -m tests.pins`` regenerates
+#: them from the repository root after a deliberate behaviour change.
+PINS_PATH = Path(__file__).resolve().parents[3] / "tests" / "golden" / "digests.json"
 
 
 @dataclass
@@ -110,13 +115,26 @@ def trace_signature(trace: Trace) -> list[tuple]:
     """A trace as comparable tuples (cycle, kind, task, si, detail).
 
     Lazy details are resolved here, so two runtimes are equivalent iff
-    their signatures are equal — the bench and the regression tests use
-    this to prove the hot-path caches never change event semantics.
+    their signatures are equal.
     """
     return [
         (e.cycle, e.kind.value, e.task, e.si, dict(e.detail))
         for e in trace
     ]
+
+
+def trace_digest(trace: Trace) -> str:
+    """sha256 of ``repr(trace_signature(trace))``: the pinned form."""
+    return hashlib.sha256(repr(trace_signature(trace)).encode()).hexdigest()
+
+
+def pinned_digest(suite: str, *, quick: bool) -> str | None:
+    """The committed digest of a suite's end-to-end trace (``None``: unpinned)."""
+    try:
+        pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
+    except OSError:
+        return None
+    return pins["bench"].get(suite, {}).get("quick" if quick else "full")
 
 
 def build_report(
@@ -157,21 +175,17 @@ def render_report(report: dict) -> str:
     e2e = report.get("end_to_end") or {}
     if e2e:
         lines.append(f"end-to-end: {e2e.get('scenario', '?')}")
-        lines.append(
-            f"  baseline   {e2e['baseline_s'] * 1000:10.1f} ms"
-        )
-        lines.append(
-            f"  optimized  {e2e['optimized_s'] * 1000:10.1f} ms"
-            f"   ({e2e['speedup']:.2f}x speedup)"
-        )
+        lines.append(f"  wall       {e2e['wall_s'] * 1000:10.1f} ms")
         if "cycles_per_sec" in e2e:
             lines.append(
                 f"  throughput {e2e['cycles_per_sec']:,.0f} simulated cycles/s"
             )
         lines.append(
-            "  trace equivalence: "
+            "  trace pin: "
             + ("OK" if e2e.get("trace_equal") else "MISMATCH")
-            + f" ({e2e.get('trace_events', 0)} events)"
+            + f" ({e2e.get('trace_events', 0)} events,"
+            f" digest {str(e2e.get('trace_digest'))[:12]},"
+            f" pin {str(e2e.get('trace_pin'))[:12]})"
         )
         if "trace_verified" in e2e:
             lines.append(

@@ -11,13 +11,11 @@ Three suites cover the repo's workloads:
 * ``synthetic`` — a small generated library; fast enough for CI's quick
   mode while exercising the same code paths.
 
-Every suite measures the end-to-end scenario twice — once with
-``optimize=False`` (the pre-optimization baseline: no fabric generation
-cache, no memoized ``best_available``, no replan skip, eager trace
-details) and once with ``optimize=True`` — verifies the two event traces
-are identical, and reports the speedup.  Micro-benchmarks cover the four
-run-time hot paths: molecule selection, rotation planning, ``execute_si``
-and trace recording.
+Every suite times its end-to-end scenario, compares the trace digest
+with the one committed in ``tests/golden/digests.json`` and replays the
+trace through rispp-verify.  Micro-benchmarks cover the four run-time
+hot paths: molecule selection, rotation planning, ``execute_si`` and
+trace recording.
 """
 
 from __future__ import annotations
@@ -39,8 +37,10 @@ from ..sim.trace import EventKind, Trace
 from .harness import (
     StageResult,
     build_report,
+    pinned_digest,
     time_best,
     time_stage,
+    trace_digest,
     trace_signature,
 )
 
@@ -51,6 +51,12 @@ H264_MACROBLOCK_CALLS = (
     ("HT_4x4", 1),
     ("HT_2x2", 2),
 )
+#: Loop-head forecasts of the h264 scenario: expected calls per macroblock.
+H264_FORECASTS = (
+    ("SATD_4x4", 256.0), ("DCT_4x4", 24.0), ("HT_4x4", 1.0), ("HT_2x2", 2.0),
+)
+SYNTHETIC_FORECASTS = (("SI0", 64.0), ("SI1", 16.0), ("SI2", 4.0), ("SI3", 1.0))
+SYNTHETIC_BLOCKS = (("SI0", 64), ("SI1", 16), ("SI2", 4), ("SI3", 1))
 
 
 # -- generic runtime scenario -------------------------------------------------
@@ -65,7 +71,6 @@ def run_si_stream(
     block_rounds: int,
     warmup_cycles: int = 700_000,
     inter_block_cycles: int = 5_000,
-    optimize: bool,
     energy_model=None,
     fault_injector=None,
     metrics=None,
@@ -82,7 +87,7 @@ def run_si_stream(
     skip cache's main prey).
     """
     rt = RisppRuntime(
-        library, containers, core_mhz=100.0, optimize=optimize,
+        library, containers, core_mhz=100.0,
         energy_model=energy_model, faults=fault_injector, metrics=metrics,
         backend=backend,
     )
@@ -101,53 +106,39 @@ def run_si_stream(
     return rt
 
 
-def verify_equivalence(
-    baseline_rt: RisppRuntime, optimized_rt: RisppRuntime
+def end_to_end_stage(
+    scenario_name: str,
+    run: Callable[[], RisppRuntime],
+    *,
+    suite: str,
+    quick: bool,
+    repeats: int,
 ) -> dict:
-    """Replay both traces through rispp-verify's reference machine.
+    """Time ``run``; check its trace against the pin and rispp-verify.
 
-    Signature equality alone would also bless a *pair* of traces that
-    agree on the same wrong behaviour; model-based verification closes
-    that hole, so "equivalent" means both traces satisfy the §3/§5
-    runtime invariants *and* their signatures match.
+    ``trace_equal`` is the digest-vs-pin verdict; ``trace_verified``
+    replays the trace through the reference machine, so a pin that
+    records wrong behaviour cannot pass either.
     """
     from ..analysis.verify import verify_runtime
 
-    baseline_report = verify_runtime(baseline_rt, subject="bench:baseline")
-    optimized_report = verify_runtime(optimized_rt, subject="bench:optimized")
-    findings = baseline_report.errors() + optimized_report.errors()
-    return {
-        "trace_verified": not findings,
-        "verify_findings": [d.render() for d in findings],
-    }
-
-
-def end_to_end_stage(
-    scenario_name: str,
-    run: Callable[[bool], RisppRuntime],
-    *,
-    repeats: int,
-) -> dict:
-    """Time ``run`` in baseline and optimized mode; verify equivalence."""
-    baseline_s, baseline_rt = time_best(lambda: run(False), repeats=repeats)
-    optimized_s, optimized_rt = time_best(lambda: run(True), repeats=repeats)
-    equal = trace_signature(baseline_rt.trace) == trace_signature(
-        optimized_rt.trace
-    )
-    simulated = optimized_rt.stats.si_cycles
+    wall_s, rt = time_best(run, repeats=repeats)
+    digest = trace_digest(rt.trace)
+    pin = pinned_digest(suite, quick=quick)
+    findings = verify_runtime(rt, subject=f"bench:{suite}").errors()
+    simulated = rt.stats.si_cycles
     return {
         "scenario": scenario_name,
-        "baseline_s": round(baseline_s, 6),
-        "optimized_s": round(optimized_s, 6),
-        "speedup": round(baseline_s / optimized_s, 3) if optimized_s else 0.0,
-        "trace_equal": equal,
-        "trace_events": len(optimized_rt.trace),
-        "si_executions": optimized_rt.stats.si_executions,
+        "wall_s": round(wall_s, 6),
+        "trace_digest": digest,
+        "trace_pin": pin,
+        "trace_equal": digest == pin,
+        "trace_events": len(rt.trace),
+        "si_executions": rt.stats.si_executions,
         "simulated_cycles": simulated,
-        "cycles_per_sec": round(simulated / optimized_s, 1)
-        if optimized_s
-        else 0.0,
-        **verify_equivalence(baseline_rt, optimized_rt),
+        "cycles_per_sec": round(simulated / wall_s, 1) if wall_s else 0.0,
+        "trace_verified": not findings,
+        "verify_findings": [d.render() for d in findings],
     }
 
 
@@ -308,7 +299,7 @@ def selection_backend_stage(
     def scenario(backend_name: str) -> RisppRuntime:
         return run_si_stream(
             library, forecasts, blocks, containers=containers,
-            block_rounds=2, optimize=True, backend=backend_name,
+            block_rounds=2, backend=backend_name,
         )
 
     reference_rt = scenario("reference")
@@ -316,7 +307,12 @@ def selection_backend_stage(
     trace_equal = trace_signature(reference_rt.trace) == trace_signature(
         numpy_rt.trace
     )
-    verdict = verify_equivalence(reference_rt, numpy_rt)
+    from ..analysis.verify import verify_runtime
+
+    trace_verified = all(
+        verify_runtime(rt, subject=f"bench:{name}").ok()
+        for name, rt in (("reference", reference_rt), ("numpy", numpy_rt))
+    )
 
     return StageResult(
         name="selection_backend",
@@ -331,7 +327,7 @@ def selection_backend_stage(
             "speedup": round(reference_s / numpy_s, 2) if numpy_s else 0.0,
             "results_equal": results_equal,
             "trace_equal": trace_equal,
-            "trace_verified": verdict["trace_verified"],
+            "trace_verified": trace_verified,
         },
     )
 
@@ -504,14 +500,12 @@ def recovery_stage(*, quick: bool, checkpoint_every: int = 16) -> StageResult:
     from ..recovery import RecoverableRuntime, latest_snapshot
 
     library = build_synthetic_library()
-    forecasts = [("SI0", 64.0), ("SI1", 16.0), ("SI2", 4.0), ("SI3", 1.0)]
-    blocks = [("SI0", 64), ("SI1", 16), ("SI2", 4), ("SI3", 1)]
     rounds = 6 if quick else 20
 
     def scenario(wrap: Any = None) -> RisppRuntime:
         return run_si_stream(
-            library, forecasts, blocks,
-            containers=5, block_rounds=rounds, optimize=True, wrap=wrap,
+            library, list(SYNTHETIC_FORECASTS), list(SYNTHETIC_BLOCKS),
+            containers=5, block_rounds=rounds, wrap=wrap,
         )
 
     reference_sig = trace_signature(scenario().trace)
@@ -539,7 +533,7 @@ def recovery_stage(*, quick: bool, checkpoint_every: int = 16) -> StageResult:
 
         def resume() -> Any:
             rec = RecoverableRuntime(
-                RisppRuntime(library, 5, core_mhz=100.0, optimize=True),
+                RisppRuntime(library, 5, core_mhz=100.0),
                 store, checkpoint_every=checkpoint_every, resume=True,
             )
             rec.close()
@@ -706,27 +700,72 @@ def _metrics_snapshot(suite: str, *, quick: bool) -> dict:
     return snapshot(registry, deterministic_only=True)
 
 
+def h264_scenario(library: SILibrary, *, quick: bool) -> RisppRuntime:
+    """The h264 suite's end-to-end run: a 6- or 40-macroblock SI stream."""
+    return run_si_stream(
+        library, list(H264_FORECASTS), list(H264_MACROBLOCK_CALLS),
+        containers=6, block_rounds=6 if quick else 40,
+    )
+
+
+def aes_flow(library: SILibrary):
+    """The aes suite's end-to-end run: the whole compile-then-run flow."""
+    from ..apps.aes import build_aes_program, default_aes_fdfs
+    from ..sim.integration import compile_and_run
+
+    return compile_and_run(
+        build_aes_program(),
+        library,
+        default_aes_fdfs(),
+        containers=6,
+        profile_env_factory=lambda i: {
+            "plaintext": bytes([i % 256] * 16),
+            "key": bytes([(255 - i) % 256] * 16),
+        },
+        run_env={"plaintext": b"\x21" * 16, "key": b"\x42" * 16},
+        profile_runs=2,
+    )
+
+
+def synthetic_scenario(library: SILibrary, *, quick: bool) -> RisppRuntime:
+    """The synthetic suite's end-to-end run: a 10- or 60-round SI stream."""
+    return run_si_stream(
+        library, list(SYNTHETIC_FORECASTS), list(SYNTHETIC_BLOCKS),
+        containers=5, block_rounds=10 if quick else 60,
+    )
+
+
+def scenario_runtime(suite: str, *, quick: bool) -> RisppRuntime:
+    """Run one suite's end-to-end scenario on a fresh library.
+
+    This is the run whose trace digest ``tests/golden/digests.json``
+    pins per suite and mode.
+    """
+    if suite == "h264":
+        from ..apps.h264 import build_h264_library
+
+        return h264_scenario(build_h264_library(), quick=quick)
+    if suite == "aes":
+        from ..apps.aes import build_aes_library
+
+        return aes_flow(build_aes_library()).runtime
+    if suite == "synthetic":
+        return synthetic_scenario(build_synthetic_library(), quick=quick)
+    raise ValueError(f"unknown bench suite {suite!r}; choose from {sorted(SUITES)}")
+
+
 def run_h264(*, quick: bool = False) -> dict:
     from ..apps.h264 import build_h264_library
     from ..sim.integration import compile_and_run
 
     library = build_h264_library()
-    forecasts = [
-        ("SATD_4x4", 256.0), ("DCT_4x4", 24.0),
-        ("HT_4x4", 1.0), ("HT_2x2", 2.0),
-    ]
+    forecasts = list(H264_FORECASTS)
     macroblocks = 6 if quick else 40
     repeats = 2 if quick else 3
-
-    def scenario(optimize: bool) -> RisppRuntime:
-        return run_si_stream(
-            library, forecasts, list(H264_MACROBLOCK_CALLS),
-            containers=6, block_rounds=macroblocks, optimize=optimize,
-        )
-
     end_to_end = end_to_end_stage(
         f"h264 encoder scenario ({macroblocks} macroblocks)",
-        scenario, repeats=repeats,
+        lambda: h264_scenario(library, quick=quick),
+        suite="h264", quick=quick, repeats=repeats,
     )
     stages = [
         compile_and_run_stage(
@@ -752,57 +791,15 @@ def run_h264(*, quick: bool = False) -> dict:
 
 
 def run_aes(*, quick: bool = False) -> dict:
-    from ..apps.aes import (
-        build_aes_library,
-        build_aes_program,
-        default_aes_fdfs,
-    )
-    from ..sim.integration import compile_and_run
+    from ..apps.aes import build_aes_library
 
     library = build_aes_library()
     repeats = 2 if quick else 3
-    program = build_aes_program()
-    env = {"plaintext": b"\x21" * 16, "key": b"\x42" * 16}
-
-    def env_factory(i: int) -> dict:
-        return {
-            "plaintext": bytes([i % 256] * 16),
-            "key": bytes([(255 - i) % 256] * 16),
-        }
-
-    def flow(optimize: bool):
-        return compile_and_run(
-            program,
-            library,
-            default_aes_fdfs(),
-            containers=6,
-            profile_env_factory=env_factory,
-            run_env=dict(env),
-            profile_runs=2,
-            optimize=optimize,
-        )
-
-    baseline_s, baseline = time_best(lambda: flow(False), repeats=repeats)
-    optimized_s, optimized = time_best(lambda: flow(True), repeats=repeats)
-    equal = trace_signature(baseline.runtime.trace) == trace_signature(
-        optimized.runtime.trace
+    end_to_end = end_to_end_stage(
+        "aes compile_and_run",
+        lambda: aes_flow(library).runtime,
+        suite="aes", quick=quick, repeats=repeats,
     )
-    end_to_end = {
-        "scenario": "aes compile_and_run",
-        "baseline_s": round(baseline_s, 6),
-        "optimized_s": round(optimized_s, 6),
-        "speedup": round(baseline_s / optimized_s, 3) if optimized_s else 0.0,
-        "trace_equal": equal,
-        "trace_events": len(optimized.runtime.trace),
-        "si_executions": optimized.runtime.stats.si_executions,
-        "simulated_cycles": optimized.runtime.stats.si_cycles,
-        "cycles_per_sec": round(
-            optimized.runtime.stats.si_cycles / optimized_s, 1
-        )
-        if optimized_s
-        else 0.0,
-        **verify_equivalence(baseline.runtime, optimized.runtime),
-    }
     forecasts = [("SUBBYTES", 10.0), ("MIXCOL", 9.0), ("KEYEXP", 10.0)]
     stages = micro_stages(
         library, forecasts, containers=6,
@@ -845,22 +842,15 @@ def build_synthetic_library(
 
 def run_synthetic(*, quick: bool = False, checkpoint_every: int = 16) -> dict:
     library = build_synthetic_library()
-    forecasts = [("SI0", 64.0), ("SI1", 16.0), ("SI2", 4.0), ("SI3", 1.0)]
-    blocks = [("SI0", 64), ("SI1", 16), ("SI2", 4), ("SI3", 1)]
     rounds = 10 if quick else 60
     repeats = 2 if quick else 3
-
-    def scenario(optimize: bool) -> RisppRuntime:
-        return run_si_stream(
-            library, forecasts, blocks,
-            containers=5, block_rounds=rounds, optimize=optimize,
-        )
-
     end_to_end = end_to_end_stage(
-        f"synthetic SI stream ({rounds} rounds)", scenario, repeats=repeats
+        f"synthetic SI stream ({rounds} rounds)",
+        lambda: synthetic_scenario(library, quick=quick),
+        suite="synthetic", quick=quick, repeats=repeats,
     )
     stages = micro_stages(
-        library, forecasts, containers=5,
+        library, list(SYNTHETIC_FORECASTS), containers=5,
         rounds=20 if quick else 100, repeats=repeats,
     )
     stages.append(state_explore_stage(quick=quick))

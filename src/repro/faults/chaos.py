@@ -79,14 +79,11 @@ def static_repair_bound(
 
 def _h264_config() -> dict[str, Any]:
     from ..apps.h264 import build_h264_library
-    from ..bench.suites import H264_MACROBLOCK_CALLS
+    from ..bench.suites import H264_FORECASTS, H264_MACROBLOCK_CALLS
 
     return {
         "library": build_h264_library(),
-        "forecasts": [
-            ("SATD_4x4", 256.0), ("DCT_4x4", 24.0),
-            ("HT_4x4", 1.0), ("HT_2x2", 2.0),
-        ],
+        "forecasts": list(H264_FORECASTS),
         "blocks": list(H264_MACROBLOCK_CALLS),
         "containers": 6,
         "rounds": {"quick": 3, "full": 8},
@@ -94,14 +91,16 @@ def _h264_config() -> dict[str, Any]:
 
 
 def _synthetic_config() -> dict[str, Any]:
-    from ..bench.suites import build_synthetic_library
+    from ..bench.suites import (
+        SYNTHETIC_BLOCKS,
+        SYNTHETIC_FORECASTS,
+        build_synthetic_library,
+    )
 
     return {
         "library": build_synthetic_library(),
-        "forecasts": [
-            ("SI0", 64.0), ("SI1", 16.0), ("SI2", 4.0), ("SI3", 1.0),
-        ],
-        "blocks": [("SI0", 64), ("SI1", 16), ("SI2", 4), ("SI3", 1)],
+        "forecasts": list(SYNTHETIC_FORECASTS),
+        "blocks": list(SYNTHETIC_BLOCKS),
         "containers": 5,
         "rounds": {"quick": 6, "full": 20},
     }
@@ -125,7 +124,6 @@ def _run_stream(
         config["blocks"],
         containers=config["containers"],
         block_rounds=rounds,
-        optimize=True,
         fault_injector=injector,
         metrics=metrics,
         wrap=wrap,

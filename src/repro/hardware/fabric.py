@@ -14,9 +14,6 @@ The derived molecule views (:meth:`available_atoms`,
 Between rotations the fabric is immutable, yet the run-time manager asks
 "what is loaded?" on *every* SI execution; the generation check turns
 those queries into a dict lookup instead of a molecule construction.
-Pass ``cache=False`` for the always-recompute baseline (the bench
-harness uses it to measure the cache's effect and to prove trace
-equivalence).
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ class Fabric:
         num_containers: int,
         *,
         static_multiplicity: int = 16,
-        cache: bool = True,
         metrics: "MetricRegistry | None" = None,
     ):
         if num_containers < 0:
@@ -61,7 +57,6 @@ class Fabric:
             if baseline:
                 self._static[name] = baseline
         self._reconfigurable = set(catalogue.reconfigurable_names())
-        self.cache_enabled = cache
         #: generation -> memoized view; one entry each, replaced on miss.
         self._available_cache: tuple[int, Molecule] | None = None
         self._loaded_cache: tuple[int, Molecule] | None = None
@@ -119,41 +114,31 @@ class Fabric:
 
     def available_atoms(self) -> Molecule:
         """Usable Atoms right now: loaded containers + static atoms."""
-        if self.cache_enabled:
-            gen = self.generation
-            cached = self._available_cache
-            if cached is not None and cached[0] == gen:
-                return cached[1]
-            molecule = self._compute_available()
-            self._available_cache = (gen, molecule)
-            return molecule
-        return self._compute_available()
-
-    def _compute_available(self) -> Molecule:
+        gen = self.generation
+        cached = self._available_cache
+        if cached is not None and cached[0] == gen:
+            return cached[1]
         counts = dict(self._static)
         for c in self.containers:
             if c.is_available() and c.atom is not None:
                 counts[c.atom] = counts.get(c.atom, 0) + 1
-        return self.space.molecule(counts)
+        molecule = self.space.molecule(counts)
+        self._available_cache = (gen, molecule)
+        return molecule
 
     def loaded_reconfigurable(self) -> Molecule:
         """Only the Atoms sitting in (loaded) containers."""
-        if self.cache_enabled:
-            gen = self.generation
-            cached = self._loaded_cache
-            if cached is not None and cached[0] == gen:
-                return cached[1]
-            molecule = self._compute_loaded()
-            self._loaded_cache = (gen, molecule)
-            return molecule
-        return self._compute_loaded()
-
-    def _compute_loaded(self) -> Molecule:
+        gen = self.generation
+        cached = self._loaded_cache
+        if cached is not None and cached[0] == gen:
+            return cached[1]
         counts: dict[str, int] = {}
         for c in self.containers:
             if c.is_available() and c.atom is not None:
                 counts[c.atom] = counts.get(c.atom, 0) + 1
-        return self.space.molecule(counts)
+        molecule = self.space.molecule(counts)
+        self._loaded_cache = (gen, molecule)
+        return molecule
 
     def in_flight(self) -> Molecule:
         """Atoms currently being rotated in (not yet usable)."""

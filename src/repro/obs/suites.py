@@ -48,7 +48,6 @@ def _stream_suite(
         blocks,
         containers=containers,
         block_rounds=rounds,
-        optimize=True,
         metrics=registry,
     )
     end = rt.trace.events[-1].cycle + 1 if len(rt.trace) else 0
@@ -59,12 +58,12 @@ def _stream_suite(
 def run_h264_metrics(registry: MetricRegistry, *, quick: bool = False) -> "RisppRuntime":
     """The Fig. 7 macroblock SI stream, instrumented."""
     from ..apps.h264 import build_h264_library
-    from ..bench.suites import H264_MACROBLOCK_CALLS
+    from ..bench.suites import H264_FORECASTS, H264_MACROBLOCK_CALLS
 
     return _stream_suite(
         registry,
         build_h264_library(),
-        [("SATD_4x4", 256.0), ("DCT_4x4", 24.0), ("HT_4x4", 1.0), ("HT_2x2", 2.0)],
+        list(H264_FORECASTS),
         list(H264_MACROBLOCK_CALLS),
         containers=6,
         rounds=4 if quick else 16,
@@ -107,13 +106,17 @@ def run_synthetic_metrics(
     registry: MetricRegistry, *, quick: bool = False
 ) -> "RisppRuntime":
     """The generated synthetic library's SI stream, instrumented."""
-    from ..bench.suites import build_synthetic_library
+    from ..bench.suites import (
+        SYNTHETIC_BLOCKS,
+        SYNTHETIC_FORECASTS,
+        build_synthetic_library,
+    )
 
     return _stream_suite(
         registry,
         build_synthetic_library(),
-        [("SI0", 64.0), ("SI1", 16.0), ("SI2", 4.0), ("SI3", 1.0)],
-        [("SI0", 64), ("SI1", 16), ("SI2", 4), ("SI3", 1)],
+        list(SYNTHETIC_FORECASTS),
+        list(SYNTHETIC_BLOCKS),
         containers=5,
         rounds=5 if quick else 20,
     )

@@ -2,20 +2,20 @@
 
 Every cross-component notification of the run-time manager — forecasts
 firing and ending, SI executions, rotation requests/completions, fault
-delivery and recovery, replan triggers and clock ticks — is a frozen
-event dataclass published on an :class:`EventBus`.  Components *publish*
-what happened and *subscribe* to what they react to, instead of calling
-each other directly:
+delivery and recovery, replan triggers — is a frozen event dataclass
+published on the runtime's :class:`EventBus`.  Components *publish* what
+happened; the fixed wiring table :data:`DEFAULT_WIRING` names who reacts,
+in what order:
 
 * :class:`~repro.runtime.manager.RisppRuntime` publishes forecast /
-  execution / replan / tick events and subscribes the trace recorder,
-  the statistics accumulators, the telemetry counters and the replanner;
+  execution / replan events; the trace recorder, the statistics
+  accumulators, the telemetry counters and the replanner react;
 * :class:`~repro.hardware.reconfig.ReconfigurationPort` publishes
   :class:`RotationCompleted` for every retired job once attached;
 * :class:`~repro.faults.injector.FaultInjector` publishes the fault
   lifecycle (:class:`FaultInjected` .. :class:`ContainerRepaired`) and
-  subscribes to completions and software-fallback executions;
-* the :class:`~repro.runtime.monitor.ForecastMonitor` subscribes to
+  reacts to completions and software-fallback executions;
+* the :class:`~repro.runtime.monitor.ForecastMonitor` reacts to
   :class:`SIExecuted` / :class:`ForecastEnded` (its ``forecast_fired``
   fine-tuning remains a synchronous *query*: the tuned expectation is
   part of the :class:`ForecastFired` payload itself).
@@ -24,23 +24,18 @@ Determinism rules (the contract ``docs/events.md`` specifies and the
 ``EVT`` analysis rules enforce):
 
 1. Dispatch is synchronous and single-threaded: ``publish`` runs every
-   handler before returning, in ascending ``(priority, subscription
-   order)`` — no queues, no threads, no reordering.
-2. The trace recorder subscribes at :data:`PRIORITY_TRACE`, strictly
-   before any state-mutating reaction, so the recorded event sequence is
+   handler before returning, in ascending priority — no queues, no
+   threads, no reordering.  The wiring is compiled once per bus into a
+   tuple of handlers per event type and never changes afterwards.
+2. The trace recorder runs at :data:`PRIORITY_TRACE`, strictly before
+   any state-mutating reaction, so the recorded event sequence is
    exactly the publication sequence (rispp-verify replays it).
 3. Handlers are module-level functions of ``(runtime, event)``; all
    mutable state lives on the runtime.  This keeps the bus itself
    stateless, so structural clones of a runtime (rispp-explore's
    successor generator) may share it.
-4. :class:`Tick` and :class:`ReplanRequested` are control events: they
-   never record trace rows, so publishing them cannot perturb the
-   golden traces.
-
-The pre-bus direct-call sequence is preserved, hand-written, in
-:func:`direct_dispatch`: the hypothesis property in
-``tests/test_events_property.py`` drives arbitrary event interleavings
-through both dispatchers and asserts trace equality.
+4. :class:`ReplanRequested` is a control event: it never records a
+   trace row, so publishing it cannot perturb the golden traces.
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ class ForecastFired:
     """A Forecast point fired (§4.2): the SI is expected soon.
 
     ``expected`` is the monitor-tuned expectation (task a) — the
-    fine-tuning query runs *before* publication so subscribers (and the
+    fine-tuning query runs *before* publication so handlers (and the
     trace) see the value the selection round will use.
     """
 
@@ -248,20 +243,6 @@ class ReplanRequested:
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
-class Tick:
-    """The runtime clock advanced into the slow path (control event).
-
-    Published by :meth:`RisppRuntime.advance` before completions and
-    faults are drained; no default subscribers — an observation hook for
-    external tooling (the serve daemon, tests).  Never traced.
-    """
-
-    TRACE_KIND: ClassVar[EventKind | None] = None
-
-    cycle: int
-
-
 #: Every event type the runtime core may publish, in taxonomy order.
 #: ``docs/events.md`` must name each of these (docs_check enforces it).
 EVENT_TYPES: tuple[type, ...] = (
@@ -279,7 +260,6 @@ EVENT_TYPES: tuple[type, ...] = (
     ContainerRepaired,
     RotationRetried,
     ReplanRequested,
-    Tick,
 )
 
 #: Trace kinds recorded outside the bus: ``TASK_STEP`` belongs to the
@@ -298,9 +278,7 @@ NON_BUS_KINDS: frozenset[EventKind] = frozenset(
 #: runtime and the event (determinism rule 3).
 Handler = Callable[["RisppRuntime", object], None]
 
-#: Canonical handler priorities, dispatched in ascending order.  The
-#: gaps are deliberate: external subscribers pick free slots without
-#: displacing the documented core order.
+#: Canonical handler priorities, dispatched in ascending order.
 PRIORITY_TRACE = 10
 PRIORITY_STATE = 20
 PRIORITY_METRICS = 30
@@ -308,82 +286,42 @@ PRIORITY_FAULTS = 40
 PRIORITY_REPLAN = 50
 
 
-@dataclass(frozen=True, slots=True)
-class Subscription:
-    """One registered handler with its position in the dispatch order."""
+def compile_wiring() -> dict[type, tuple[Handler, ...]]:
+    """:data:`DEFAULT_WIRING` as one handler tuple per event type.
 
-    priority: int
-    seq: int
-    name: str
-    handler: Handler
-
-
-class EventBus:
-    """Deterministic synchronous dispatch of runtime events.
-
-    Handlers for one event type run in ascending ``(priority, seq)``
-    where ``seq`` is the subscription order — re-running a program
-    yields the identical handler sequence, always.  ``publish`` passes
-    the owning runtime to every handler, so handlers themselves hold no
-    state and one bus may serve structural clones of a runtime.
+    Handlers run in ascending priority; equal priorities keep their
+    wiring order.  Rows naming an event outside :data:`EVENT_TYPES` are
+    rejected: the taxonomy is closed.
     """
-
-    __slots__ = ("_subs", "_seq")
-
-    def __init__(self) -> None:
-        self._subs: dict[type, list[Subscription]] = {}
-        self._seq = 0
-
-    def subscribe(
-        self,
-        event_type: type,
-        handler: Handler,
-        *,
-        name: str = "",
-        priority: int = 100,
-    ) -> Subscription:
-        """Register ``handler`` for ``event_type``; returns the subscription."""
+    table: dict[type, list[Handler]] = {}
+    for event_type, _, handler in sorted(DEFAULT_WIRING, key=lambda w: w[1]):
         if event_type not in EVENT_TYPES:
             raise ValueError(
                 f"unknown event type {event_type!r}; the taxonomy is "
                 "repro.runtime.events.EVENT_TYPES"
             )
-        sub = Subscription(
-            priority=priority,
-            seq=self._seq,
-            name=name or getattr(handler, "__name__", "handler"),
-            handler=handler,
-        )
-        self._seq += 1
-        entries = self._subs.setdefault(event_type, [])
-        entries.append(sub)
-        entries.sort(key=lambda s: (s.priority, s.seq))
-        return sub
+        table.setdefault(event_type, []).append(handler)
+    return {event_type: tuple(hs) for event_type, hs in table.items()}
 
-    def unsubscribe(self, event_type: type, sub: Subscription) -> None:
-        entries = self._subs.get(event_type, [])
-        if sub in entries:
-            entries.remove(sub)
 
-    def subscriptions(self, event_type: type) -> tuple[Subscription, ...]:
-        """The dispatch order for one event type (coherence checks)."""
-        return tuple(self._subs.get(event_type, ()))
+class EventBus:
+    """Deterministic synchronous dispatch of runtime events.
 
-    def wiring(self) -> dict[str, tuple[tuple[int, str], ...]]:
-        """``{event type name: ((priority, handler name), ...)}`` — the
-        documented ordering table, in dispatch order."""
-        return {
-            event_type.__name__: tuple(
-                (s.priority, s.name) for s in self.subscriptions(event_type)
-            )
-            for event_type in EVENT_TYPES
-        }
+    Construction compiles :data:`DEFAULT_WIRING` into one tuple of
+    handlers per event type, in ascending priority; ``publish`` walks
+    that tuple.  ``publish`` passes the owning runtime to every handler,
+    so handlers themselves hold no state and one bus may serve
+    structural clones of a runtime.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self) -> None:
+        self._table = compile_wiring()
 
     def publish(self, runtime: "RisppRuntime", event: object) -> None:
-        subs = self._subs.get(type(event))
-        if subs:
-            for sub in list(subs):
-                sub.handler(runtime, event)
+        for handler in self._table.get(type(event), ()):
+            handler(runtime, event)
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +373,14 @@ def _replan_forecast_end(rt: "RisppRuntime", ev: ForecastEnded) -> None:
 
 
 def _trace_si_executed(rt: "RisppRuntime", ev: SIExecuted) -> None:
-    if rt._optimize:
-        # Lazy detail: the dict is only built if somebody reads it —
-        # resolved values are identical to the eager form below.
-        rt.trace.record_lazy(
-            ev.cycle,
-            EventKind.SI_EXECUTED,
-            lambda mode=ev.mode, cycles=ev.cycles: {
-                "mode": mode, "cycles": cycles,
-            },
-            task=ev.task,
-            si=ev.si,
-        )
-    else:
-        rt.trace.record(
-            ev.cycle,
-            EventKind.SI_EXECUTED,
-            task=ev.task,
-            si=ev.si,
-            mode=ev.mode,
-            cycles=ev.cycles,
-        )
+    # Lazy detail: the dict is only built if somebody reads it.
+    rt.trace.record_lazy(
+        ev.cycle,
+        EventKind.SI_EXECUTED,
+        lambda mode=ev.mode, cycles=ev.cycles: {"mode": mode, "cycles": cycles},
+        task=ev.task,
+        si=ev.si,
+    )
 
 
 def _monitor_si_executed(rt: "RisppRuntime", ev: SIExecuted) -> None:
@@ -647,11 +572,10 @@ def _replan_requested(rt: "RisppRuntime", ev: ReplanRequested) -> None:
         rt._replan(ev.cycle, triggering_task=trigger)
 
 
-#: The documented core wiring: ``(event type, priority, handler)`` in
-#: taxonomy order.  :func:`default_bus` subscribes exactly these;
-#: :func:`direct_dispatch` hand-writes the same sequence as direct
-#: calls; the EVT coherence rules hold the two (and the runtime's live
-#: bus) to each other.
+#: The core wiring: ``(event type, priority, handler)`` in taxonomy
+#: order.  Every :class:`EventBus` compiles exactly these; the dispatch
+#: order table in ``docs/events.md`` is held to it by ``docs_check`` and
+#: the EVT rules check its trace band and taxonomy.
 DEFAULT_WIRING: tuple[tuple[type, int, Handler], ...] = (
     (ForecastFired, PRIORITY_TRACE, _trace_forecast),
     (ForecastFired, PRIORITY_METRICS, _metrics_forecast),
@@ -684,87 +608,3 @@ DEFAULT_WIRING: tuple[tuple[type, int, Handler], ...] = (
     (ReplanRequested, PRIORITY_REPLAN, _replan_requested),
 )
 
-
-def default_bus() -> EventBus:
-    """A fresh bus carrying the documented core wiring."""
-    bus = EventBus()
-    for event_type, priority, handler in DEFAULT_WIRING:
-        bus.subscribe(event_type, handler, priority=priority)
-    return bus
-
-
-def direct_dispatch(rt: "RisppRuntime", event: object) -> None:
-    """The pre-bus direct-call loop, preserved as executable spec.
-
-    Hand-written ``if``/``elif`` over the taxonomy, calling the same
-    reactions in the same order the inline pre-refactor runtime did.
-    Installing this in place of :meth:`EventBus.publish` must yield
-    byte-identical traces — the hypothesis property asserts it over
-    arbitrary interleavings, seeds and backends.
-    """
-    if type(event) is ForecastFired:
-        _trace_forecast(rt, event)
-        _metrics_forecast(rt, event)
-        if rt.forecasting:
-            direct_dispatch(
-                rt, ReplanRequested(event.cycle, task=event.task, reason="forecast")
-            )
-    elif type(event) is ForecastEnded:
-        _trace_forecast_end(rt, event)
-        _monitor_forecast_end(rt, event)
-        _metrics_forecast_end(rt, event)
-        if rt.forecasting:
-            remaining = {f.task for f in rt._active.values()}
-            trigger = sorted(remaining)[0] if remaining else event.task
-            direct_dispatch(
-                rt,
-                ReplanRequested(event.cycle, task=trigger, reason="forecast_end"),
-            )
-    elif type(event) is SIExecuted:
-        _trace_si_executed(rt, event)
-        _monitor_si_executed(rt, event)
-        _metrics_si_executed(rt, event)
-        _faults_si_executed(rt, event)
-    elif type(event) is SIModeSwitched:
-        _trace_mode_switch(rt, event)
-        _metrics_mode_switch(rt, event)
-    elif type(event) is RotationRequested:
-        _trace_rotation_requested(rt, event)
-        _stats_rotation_requested(rt, event)
-        _metrics_rotation_requested(rt, event)
-    elif type(event) is RotationCompleted:
-        _trace_rotation_completed(rt, event)
-        _faults_rotation_completed(rt, event)
-        if rt._unplaced_for is not None and rt._active:
-            trigger = rt._unplaced_for
-            rt._unplaced_for = None
-            direct_dispatch(
-                rt,
-                ReplanRequested(
-                    event.job.finish_at, task=trigger, reason="unplaced"
-                ),
-            )
-    elif type(event) is ContainerReallocated:
-        _trace_reallocation(rt, event)
-    elif type(event) is ContainerFailed:
-        _trace_container_failed(rt, event)
-        _faults_container_failed(rt, event)
-        direct_dispatch(
-            rt, ReplanRequested(event.cycle, task=None, reason="container_failed")
-        )
-    elif type(event) is FaultInjected:
-        _trace_fault_injected(rt, event)
-    elif type(event) is FaultDetected:
-        _trace_fault_detected(rt, event)
-    elif type(event) is ContainerQuarantined:
-        _trace_quarantined(rt, event)
-    elif type(event) is ContainerRepaired:
-        _trace_repaired(rt, event)
-    elif type(event) is RotationRetried:
-        _trace_retried(rt, event)
-    elif type(event) is ReplanRequested:
-        _replan_requested(rt, event)
-    elif type(event) is Tick:
-        pass
-    else:  # pragma: no cover - authoring error
-        raise ValueError(f"unknown runtime event {event!r}")

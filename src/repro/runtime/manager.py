@@ -37,7 +37,7 @@ from ..hardware.fabric import Fabric
 from ..hardware.reconfig import ReconfigurationPort, RotationJob
 from ..sim.trace import Trace
 from . import events
-from .events import EventBus, default_bus
+from .events import EventBus
 from .monitor import ForecastMonitor
 from .replacement import LRUPolicy, ReplacementPolicy
 from .rotation import future_population, plan_rotations
@@ -99,19 +99,15 @@ class RisppRuntime:
         forecasting: bool = True,
         selection=select_greedy,
         energy_model=None,
-        optimize: bool = True,
         faults: "FaultInjector | None" = None,
         metrics: "MetricRegistry | None" = None,
         backend: "str | object | None" = None,
-        bus: EventBus | None = None,
     ):
         from ..obs import DISABLED
 
         #: The runtime event bus (``docs/events.md``).  All cross-
-        #: component notifications flow through :meth:`publish`; a caller
-        #: may pass a pre-wired bus to add subscribers before the first
-        #: event fires.
-        self.bus = bus if bus is not None else default_bus()
+        #: component notifications flow through :meth:`publish`.
+        self.bus = EventBus()
         self.library = library
         #: The telemetry registry shared by every component of this
         #: runtime (fabric, port, monitor, fault injector) — the
@@ -121,7 +117,6 @@ class RisppRuntime:
             library.catalogue,
             num_containers,
             static_multiplicity=static_multiplicity,
-            cache=optimize,
             metrics=self.metrics,
         )
         #: ``bytes_per_us`` overrides the SelectMap configuration rate —
@@ -158,9 +153,6 @@ class RisppRuntime:
         #: A previous plan could not place every demanded atom (all
         #: containers were reserved); retry when rotations complete.
         self._unplaced_for: str | None = None
-        #: Hot-path caching (disable with ``optimize=False`` for the
-        #: bench harness's pre-optimization baseline).
-        self._optimize = optimize
         #: Memoized ``best_available`` per SI, valid for one fabric
         #: generation: between rotations the fabric does not change, so
         #: neither does the chosen implementation.
@@ -211,7 +203,7 @@ class RisppRuntime:
     # -- events ----------------------------------------------------------
 
     def publish(self, event: object) -> None:
-        """Dispatch ``event`` to the bus subscribers, synchronously."""
+        """Dispatch ``event`` to its wired handlers, synchronously."""
         self.bus.publish(self, event)
 
     # -- time ------------------------------------------------------------
@@ -228,14 +220,11 @@ class RisppRuntime:
         fires, so injections always see the hardware state of their cycle.
         """
         faults = self._faults
-        if (
-            self._optimize
-            and self.port.is_idle()
-            and (faults is None or faults.next_cycle(now) is None)
+        if self.port.is_idle() and (
+            faults is None or faults.next_cycle(now) is None
         ):
             # Nothing scheduled, in flight, or due: state cannot change.
             return
-        self.publish(events.Tick(now))
         if faults is not None:
             while True:
                 due = faults.next_cycle(now)
@@ -249,7 +238,7 @@ class RisppRuntime:
         """Process completions chronologically, then starts, up to ``limit``.
 
         The attached port publishes a :class:`~repro.runtime.events.
-        RotationCompleted` per retired job; the subscribed trace / fault /
+        RotationCompleted` per retired job; the wired trace / fault /
         replan handlers react at the job's own cycle.
         """
         while True:
@@ -341,7 +330,7 @@ class RisppRuntime:
             )
         self._last_mode[(task, si_name)] = mode
         # Execution accounting is the publisher's own bookkeeping (it
-        # computes the return value's energy attribution); subscribers
+        # computes the return value's energy attribution); handlers
         # get the settled picture.
         per_task = self.task_stats.setdefault(task, RuntimeStats())
         energy = 0.0
@@ -436,8 +425,6 @@ class RisppRuntime:
         the lattice scan over the SI's implementations is done once per
         (SI, fabric state) instead of once per execution.
         """
-        if not self._optimize:
-            return si.best_available(self.fabric.available_atoms())
         gen = self.fabric.generation
         if gen != self._impl_cache_gen:
             self._impl_cache.clear()
@@ -455,8 +442,6 @@ class RisppRuntime:
         Implementations are immutable and owned by the library, so the
         projection is computed once per object for the runtime's life.
         """
-        if not self._optimize:
-            return self.library.restricted_to_reconfigurable(impl.molecule)
         key = id(impl)
         cached = self._rc_cache.get(key)
         if cached is None:
@@ -476,7 +461,7 @@ class RisppRuntime:
             )
         loaded = future_population(self.fabric, self.port)
         plan_key = (tuple(sorted(weights.items())), loaded)
-        if self._optimize and plan_key == self._plan_key:
+        if plan_key == self._plan_key:
             # Identical inputs to a replan that provably issued nothing:
             # selection and planning are deterministic in (weights,
             # future population), so this round is a guaranteed no-op.

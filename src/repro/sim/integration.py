@@ -161,7 +161,6 @@ def compile_and_run(
     distance: str = "expected",
     core_mhz: float = 100.0,
     lint: bool = True,
-    optimize: bool = True,
     energy_model=None,
     fault_injector=None,
     metrics=None,
@@ -190,7 +189,7 @@ def compile_and_run(
         # on fewer (even zero) containers is a valid pure-SW baseline.
         _enforce(lint_flow(cfg, library, annotation, fdfs=fdfs, subject="flow"))
     runtime = RisppRuntime(
-        library, containers, core_mhz=core_mhz, optimize=optimize,
+        library, containers, core_mhz=core_mhz,
         energy_model=energy_model, faults=fault_injector, metrics=metrics,
         backend=backend,
     )

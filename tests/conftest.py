@@ -12,8 +12,7 @@ from repro.core import (
 )
 
 
-@pytest.fixture()
-def mini_catalogue() -> AtomCatalogue:
+def build_mini_catalogue() -> AtomCatalogue:
     """Load is static; Pack/Transform/SATD rotate through containers."""
     return AtomCatalogue.of(
         [
@@ -25,8 +24,10 @@ def mini_catalogue() -> AtomCatalogue:
     )
 
 
-@pytest.fixture()
-def mini_library(mini_catalogue) -> SILibrary:
+def build_mini_library(mini_catalogue: AtomCatalogue | None = None) -> SILibrary:
+    """HT and SATD, three molecules each; a fresh catalogue by default."""
+    if mini_catalogue is None:
+        mini_catalogue = build_mini_catalogue()
     space = mini_catalogue.space
     ht = SpecialInstruction(
         "HT",
@@ -55,6 +56,16 @@ def mini_library(mini_catalogue) -> SILibrary:
         ],
     )
     return SILibrary(mini_catalogue, [ht, satd])
+
+
+@pytest.fixture()
+def mini_catalogue() -> AtomCatalogue:
+    return build_mini_catalogue()
+
+
+@pytest.fixture()
+def mini_library(mini_catalogue) -> SILibrary:
+    return build_mini_library(mini_catalogue)
 
 
 @pytest.fixture()

@@ -14,34 +14,27 @@ checked by ``tests/test_golden_pins.py``:
 A deliberate behaviour change regenerates every pin with one command,
 run from the repository root::
 
-    PYTHONPATH=src python -m tests.pins --write
+    PYTHONPATH=src python -m tests.pins
 
 and the change says so in CHANGES.md.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import json
 import random
-import sys
 from pathlib import Path
 
 from repro.analysis.verify import golden_from_runtime, run_verify_suite
-from repro.bench.harness import trace_signature
-from repro.core import (
-    AtomCatalogue,
-    AtomKind,
-    MoleculeImpl,
-    SILibrary,
-    SpecialInstruction,
-)
+from repro.bench import scenario_runtime, trace_digest
+from repro.bench.harness import PINS_PATH
 from repro.runtime import RisppRuntime
+from tests.conftest import build_mini_library
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-DIGESTS_PATH = GOLDEN_DIR / "digests.json"
+GOLDEN_DIR = PINS_PATH.parent
+REPO_ROOT = GOLDEN_DIR.parents[1]
 #: Verify scenarios whose whole golden trace is committed.
 GOLDEN_TRACE_SUITES = ("aes", "synthetic")
 BENCH_SUITES = ("h264", "aes", "synthetic")
@@ -57,46 +50,6 @@ PRIORITIES = (1.0, 2.0)
 CONTAINERS = 4
 MAX_GAP = 400
 MAX_ACTIONS = 12
-
-
-def make_library() -> SILibrary:
-    """The conftest ``mini_library``, rebuilt per run."""
-    catalogue = AtomCatalogue.of(
-        [
-            AtomKind("Load", reconfigurable=False),
-            AtomKind("Pack", bitstream_bytes=65_713),
-            AtomKind("Transform", bitstream_bytes=59_353),
-            AtomKind("SATD", bitstream_bytes=58_141),
-        ]
-    )
-    space = catalogue.space
-    ht = SpecialInstruction(
-        "HT",
-        space,
-        298,
-        [
-            MoleculeImpl(space.molecule({"Load": 1, "Pack": 1, "Transform": 1}), 22),
-            MoleculeImpl(space.molecule({"Load": 1, "Pack": 1, "Transform": 2}), 17),
-            MoleculeImpl(space.molecule({"Load": 4, "Pack": 4, "Transform": 4}), 8),
-        ],
-    )
-    satd = SpecialInstruction(
-        "SATD",
-        space,
-        544,
-        [
-            MoleculeImpl(
-                space.molecule({"Load": 1, "Pack": 1, "Transform": 1, "SATD": 1}), 24
-            ),
-            MoleculeImpl(
-                space.molecule({"Load": 2, "Pack": 1, "Transform": 2, "SATD": 1}), 18
-            ),
-            MoleculeImpl(
-                space.molecule({"Load": 4, "Pack": 4, "Transform": 4, "SATD": 2}), 12
-            ),
-        ],
-    )
-    return SILibrary(catalogue, [ht, satd])
 
 
 def seeded_actions(seed: int) -> list[tuple]:
@@ -120,9 +73,16 @@ def seeded_actions(seed: int) -> list[tuple]:
     return actions
 
 
-def replay(actions, backend=None) -> RisppRuntime:
-    """Drive a fresh runtime through ``actions``, then drain the port."""
-    rt = RisppRuntime(make_library(), CONTAINERS, core_mhz=100.0, backend=backend)
+def replay(actions, backend=None, *, prepare=None) -> RisppRuntime:
+    """Drive a fresh runtime through ``actions``, then drain the port.
+
+    ``prepare`` is called with the fresh runtime before the first action.
+    """
+    rt = RisppRuntime(
+        build_mini_library(), CONTAINERS, core_mhz=100.0, backend=backend
+    )
+    if prepare is not None:
+        prepare(rt)
     now = 0
     for action, dt in actions:
         now += dt
@@ -146,74 +106,21 @@ def replay(actions, backend=None) -> RisppRuntime:
 # -- digests ------------------------------------------------------------------
 
 
-def _sha256(value: object) -> str:
-    return hashlib.sha256(repr(value).encode()).hexdigest()
-
-
-def trace_digest(trace) -> str:
-    """sha256 of ``repr(trace_signature(trace))``."""
-    return _sha256(trace_signature(trace))
-
-
 def interleaving_pin(seed: int, backend=None) -> dict:
     rt = replay(seeded_actions(seed), backend)
     return {
         "seed": seed,
         "trace": trace_digest(rt.trace),
-        "stats": _sha256(dataclasses.asdict(rt.stats)),
+        "stats": hashlib.sha256(
+            repr(dataclasses.asdict(rt.stats)).encode()
+        ).hexdigest(),
     }
-
-
-def bench_scenario(suite: str, quick: bool) -> RisppRuntime:
-    """The end-to-end scenario runtime of one ``repro bench`` suite."""
-    from repro.bench.suites import (
-        H264_MACROBLOCK_CALLS,
-        build_synthetic_library,
-        run_si_stream,
-    )
-
-    if suite == "h264":
-        from repro.apps.h264 import build_h264_library
-
-        return run_si_stream(
-            build_h264_library(),
-            [("SATD_4x4", 256.0), ("DCT_4x4", 24.0),
-             ("HT_4x4", 1.0), ("HT_2x2", 2.0)],
-            list(H264_MACROBLOCK_CALLS),
-            containers=6, block_rounds=6 if quick else 40, optimize=True,
-        )
-    if suite == "synthetic":
-        return run_si_stream(
-            build_synthetic_library(),
-            [("SI0", 64.0), ("SI1", 16.0), ("SI2", 4.0), ("SI3", 1.0)],
-            [("SI0", 64), ("SI1", 16), ("SI2", 4), ("SI3", 1)],
-            containers=5, block_rounds=10 if quick else 60, optimize=True,
-        )
-    from repro.apps.aes import (
-        build_aes_library,
-        build_aes_program,
-        default_aes_fdfs,
-    )
-    from repro.sim.integration import compile_and_run
-
-    return compile_and_run(
-        build_aes_program(),
-        build_aes_library(),
-        default_aes_fdfs(),
-        containers=6,
-        profile_env_factory=lambda i: {
-            "plaintext": bytes([i % 256] * 16),
-            "key": bytes([(255 - i) % 256] * 16),
-        },
-        run_env={"plaintext": b"\x21" * 16, "key": b"\x42" * 16},
-        profile_runs=2,
-    ).runtime
 
 
 def bench_pins() -> dict:
     return {
         suite: {
-            mode: trace_digest(bench_scenario(suite, mode == "quick").trace)
+            mode: trace_digest(scenario_runtime(suite, quick=mode == "quick").trace)
             for mode in ("quick", "full")
         }
         for suite in BENCH_SUITES
@@ -231,7 +138,7 @@ def golden_trace_path(suite: str) -> Path:
 
 
 def load_digests() -> dict:
-    return json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
+    return json.loads(PINS_PATH.read_text(encoding="utf-8"))
 
 
 def write_pins() -> None:
@@ -240,29 +147,13 @@ def write_pins() -> None:
         "bench": bench_pins(),
         "interleavings": [interleaving_pin(s) for s in INTERLEAVING_SEEDS],
     }
-    DIGESTS_PATH.write_text(
+    PINS_PATH.write_text(
         json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
     for suite in GOLDEN_TRACE_SUITES:
         golden_trace_path(suite).write_text(golden_text(suite), encoding="utf-8")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m tests.pins", description=__doc__.splitlines()[0]
-    )
-    parser.add_argument(
-        "--write", action="store_true",
-        help="regenerate every pin under tests/golden/ from the current code",
-    )
-    args = parser.parse_args(argv)
-    if not args.write:
-        parser.print_help()
-        return 2
+if __name__ == "__main__":
     write_pins()
     print(f"pins written to {GOLDEN_DIR}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,8 +1,8 @@
 """Fuzzing the verifier against the real runtime.
 
 Property: *any* interleaving of ``forecast`` / ``execute_si`` /
-``fail_container`` / ``advance`` through both the optimized and the
-baseline runtime yields a trace the reference machine replays with zero
+``fail_container`` / ``advance`` through a runtime on each compute
+backend yields a trace the reference machine replays with zero
 findings — the machine and the manager implement the same §3/§5
 semantics, independently.  The deterministic half then mutates verified
 traces by hand and asserts each mutation trips exactly the intended
@@ -22,8 +22,11 @@ from repro.core import (
     SILibrary,
     SpecialInstruction,
 )
+from repro.core.backend import available_backends
 from repro.runtime import RisppRuntime
 from repro.sim import Event, EventKind
+
+BACKENDS = ["reference"] + (["numpy"] if "numpy" in available_backends() else [])
 
 
 def _fuzz_library() -> SILibrary:
@@ -78,12 +81,14 @@ class TestFuzzedInterleavings:
     @given(ops=_OPS)
     def test_both_runtimes_always_verify_clean(self, ops):
         library = _fuzz_library()
-        optimized = RisppRuntime(library, 3, core_mhz=100.0, optimize=True)
-        baseline = RisppRuntime(library, 3, core_mhz=100.0, optimize=False)
+        runtimes = {
+            backend: RisppRuntime(library, 3, core_mhz=100.0, backend=backend)
+            for backend in BACKENDS
+        }
         now = 0
         for op, si, delta, scale in ops:
             now += delta
-            for rt in (optimized, baseline):
+            for rt in runtimes.values():
                 if op == "forecast":
                     rt.forecast(si, now, expected=float(scale * 50))
                 elif op == "execute":
@@ -92,7 +97,7 @@ class TestFuzzedInterleavings:
                     rt.advance(now)
                 else:  # fail one of the three containers (idempotent)
                     rt.fail_container(scale, now)
-        for name, rt in (("optimized", optimized), ("baseline", baseline)):
+        for name, rt in runtimes.items():
             report = verify_runtime(rt, subject=f"fuzz:{name}")
             assert report.clean(), report.render_text()
 

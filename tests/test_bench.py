@@ -7,6 +7,7 @@ import pytest
 from repro.bench import (
     SCHEMA_VERSION,
     StageResult,
+    pinned_digest,
     render_report,
     run_suite,
     time_best,
@@ -23,7 +24,7 @@ REPORT_KEYS = {
     "python", "platform", "end_to_end", "stages", "totals", "metrics",
 }
 END_TO_END_KEYS = {
-    "scenario", "baseline_s", "optimized_s", "speedup", "trace_equal",
+    "scenario", "wall_s", "trace_digest", "trace_pin", "trace_equal",
     "trace_events", "si_executions", "simulated_cycles", "cycles_per_sec",
     "trace_verified", "verify_findings",
 }
@@ -84,15 +85,15 @@ class TestSuites:
             assert set(stage) == STAGE_KEYS
         assert report["totals"]["stages"] == len(report["stages"])
 
-    def test_optimizations_preserve_trace_and_speed_things_up(
-        self, synthetic_report
-    ):
+    def test_end_to_end_trace_matches_pin_and_verifies(self, synthetic_report):
         e2e = synthetic_report["end_to_end"]
         assert e2e["trace_equal"] is True
+        assert e2e["trace_digest"] == e2e["trace_pin"]
+        assert e2e["trace_pin"] == pinned_digest("synthetic", quick=True)
         assert e2e["trace_verified"] is True, e2e["verify_findings"]
         assert e2e["verify_findings"] == []
         assert e2e["trace_events"] > 0
-        assert e2e["speedup"] > 0
+        assert e2e["wall_s"] > 0
         assert e2e["si_executions"] > 0
 
     def test_micro_stages_cover_the_hot_paths(self, synthetic_report):
@@ -206,8 +207,8 @@ class TestSuites:
 
     def test_render_report_mentions_the_verdict(self, synthetic_report):
         text = render_report(synthetic_report)
-        assert "trace equivalence: OK" in text
-        assert "speedup" in text
+        assert "trace pin: OK" in text
+        assert "trace verification: OK" in text
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown bench suite"):
@@ -225,6 +226,14 @@ class TestBenchCLI:
         report = json.loads(path.read_text())
         assert report["schema_version"] == SCHEMA_VERSION
         assert report["end_to_end"]["trace_equal"] is True
+
+    def test_trace_drift_from_the_pin_exits_nonzero(self, monkeypatch, capsys):
+        import repro.bench.suites as suites
+
+        real = suites.trace_digest
+        monkeypatch.setattr(suites, "trace_digest", lambda t: "drift-" + real(t))
+        assert main(["bench", "--suite", "aes", "--quick"]) == 1
+        assert "trace pin: MISMATCH" in capsys.readouterr().out
 
     def test_bench_rejects_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):

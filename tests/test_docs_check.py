@@ -35,14 +35,16 @@ def _events_stub() -> str:
     """A minimal events.md covering the taxonomy, wiring and bands."""
     from repro.runtime import events as ev
 
+    order: dict[str, list[str]] = {}
+    for event_type, _, handler in sorted(ev.DEFAULT_WIRING, key=lambda w: w[1]):
+        order.setdefault(event_type.__name__, []).append(f"`{handler.__name__}`")
     lines = ["# Events", ""]
     lines += [f"- `{t.__name__}`" for t in ev.EVENT_TYPES]
-    lines += sorted(
-        {f"- `{handler.__name__}`" for _, _, handler in ev.DEFAULT_WIRING}
-    )
-    lines += [
+    lines += ["", "| Event | Dispatch order |", "|---|---|"]
+    lines += [f"| `{name}` | {' → '.join(hs)} |" for name, hs in order.items()]
+    lines += ["", *[
         f"- `{name}`" for name in dir(ev) if name.startswith("PRIORITY_")
-    ]
+    ]]
     return "\n".join(lines) + "\n"
 
 
@@ -230,7 +232,25 @@ class TestEventsCoverage:
         (repo / "docs" / "guide.md").write_text("Rule EVT999 applies.\n")
         assert any("EVT999" in f for f in _findings(repo))
 
-    @pytest.mark.parametrize("rule_id", ["EVT001", "EVT002", "EVT003"])
+    def test_swapped_dispatch_order_is_flagged(self, repo):
+        stub = _events_stub().replace(
+            "`_trace_si_executed` → `_monitor_si_executed`",
+            "`_monitor_si_executed` → `_trace_si_executed`",
+        )
+        (repo / "docs" / "events.md").write_text(stub)
+        findings = _findings(repo)
+        assert any("dispatch order of SIExecuted" in f for f in findings)
+        assert len(findings) == 1
+
+    def test_missing_dispatch_row_is_flagged(self, repo):
+        stub = "\n".join(
+            line for line in _events_stub().splitlines()
+            if not line.startswith("| `ReplanRequested`")
+        )
+        (repo / "docs" / "events.md").write_text(stub + "\n")
+        assert any("no row for ReplanRequested" in f for f in _findings(repo))
+
+    @pytest.mark.parametrize("rule_id", ["EVT002", "EVT003"])
     def test_undocumented_evt_rule_is_flagged(self, repo, rule_id):
         stub = _analysis_stub().replace(rule_id, "redacted")
         (repo / "docs" / "analysis.md").write_text(stub)

@@ -1,227 +1,114 @@
-"""The event bus is a refactor, not a behaviour change: property proof.
+"""The event bus, held to pinned traces and to its compiled wiring.
 
-``direct_dispatch`` in :mod:`repro.runtime.events` is the hand-written
-pre-bus call sequence, kept as the executable spec of what the runtime
-did before the bus existed.  Hypothesis drives two identically seeded
-runtimes — one publishing through the default bus, one through a bus
-whose ``publish`` *is* ``direct_dispatch`` — over random interleavings
-of forecasts, forecast ends, SI executions, container failures and idle
-advances, and asserts the traces are identical row for row.
+The runtime once carried a hand-written direct-call dispatcher beside
+the bus, and a property kept the two in step.  The trace and statistics
+digests of the seeded interleavings in ``tests/golden/digests.json``
+were recorded while both dispatchers still existed, and the
+direct-call dispatcher reproduced every one of them on both compute
+backends.  The bus is now held to those recordings.
 
-Alongside the property live the :class:`EventBus` contract tests
-(dispatch order, taxonomy enforcement, wiring introspection) and the
-``EVT*`` lint rules that keep ``docs/events.md`` honest.
+Alongside live the :class:`EventBus` contract tests (dispatch order,
+taxonomy enforcement, the compiled table) and the ``EVT*`` lint rules.
 """
 
-import dataclasses
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import repro.runtime.events as events_mod
 from repro.analysis import lint_events
-from repro.bench.harness import trace_signature
-from repro.core import (
-    AtomCatalogue,
-    AtomKind,
-    MoleculeImpl,
-    SILibrary,
-    SpecialInstruction,
-)
+from repro.analysis.docs_check import _check_events_coverage
 from repro.core.backend import available_backends
-from repro.runtime import RisppRuntime
 from repro.runtime.events import (
     DEFAULT_WIRING,
     EVENT_TYPES,
-    PRIORITY_TRACE,
     EventBus,
     ForecastFired,
-    Tick,
-    default_bus,
-    direct_dispatch,
+    ReplanRequested,
 )
-
-SIS = ("HT", "SATD")
-TASKS = ("A", "B")
+from tests import pins
 
 BACKENDS = [None] + (["numpy"] if "numpy" in available_backends() else [])
-
-
-def _make_library() -> SILibrary:
-    """The conftest ``mini_library``, rebuilt per example (fixtures and
-    ``@given`` don't mix: hypothesis reuses function-scoped fixtures
-    across examples, which is exactly the sharing this test must avoid)."""
-    catalogue = AtomCatalogue.of(
-        [
-            AtomKind("Load", reconfigurable=False),
-            AtomKind("Pack", bitstream_bytes=65_713),
-            AtomKind("Transform", bitstream_bytes=59_353),
-            AtomKind("SATD", bitstream_bytes=58_141),
-        ]
-    )
-    space = catalogue.space
-    ht = SpecialInstruction(
-        "HT",
-        space,
-        298,
-        [
-            MoleculeImpl(space.molecule({"Load": 1, "Pack": 1, "Transform": 1}), 22),
-            MoleculeImpl(space.molecule({"Load": 1, "Pack": 1, "Transform": 2}), 17),
-            MoleculeImpl(space.molecule({"Load": 4, "Pack": 4, "Transform": 4}), 8),
-        ],
-    )
-    satd = SpecialInstruction(
-        "SATD",
-        space,
-        544,
-        [
-            MoleculeImpl(
-                space.molecule({"Load": 1, "Pack": 1, "Transform": 1, "SATD": 1}), 24
-            ),
-            MoleculeImpl(
-                space.molecule({"Load": 2, "Pack": 1, "Transform": 2, "SATD": 1}), 18
-            ),
-            MoleculeImpl(
-                space.molecule({"Load": 4, "Pack": 4, "Transform": 4, "SATD": 2}), 12
-            ),
-        ],
-    )
-    return SILibrary(catalogue, [ht, satd])
-
-
-class DirectBus(EventBus):
-    """A bus whose dispatch is the pre-bus inline call sequence."""
-
-    def publish(self, runtime, event) -> None:  # type: ignore[override]
-        direct_dispatch(runtime, event)
-
-
-def _action_sequences():
-    forecast = st.tuples(
-        st.just("forecast"),
-        st.sampled_from(TASKS),
-        st.sampled_from(SIS),
-        st.sampled_from((5.0, 20.0, 40.0)),
-        st.sampled_from((1.0, 2.0)),
-    )
-    end = st.tuples(st.just("end"), st.sampled_from(TASKS), st.sampled_from(SIS))
-    execute = st.tuples(st.just("exec"), st.sampled_from(TASKS), st.sampled_from(SIS))
-    advance = st.tuples(st.just("advance"))
-    fail = st.tuples(st.just("fail"), st.integers(min_value=0, max_value=3))
-    step = st.tuples(
-        st.one_of(forecast, end, execute, advance, fail),
-        st.integers(min_value=0, max_value=400),
-    )
-    return st.lists(step, min_size=1, max_size=12)
-
-
-def _replay(bus: EventBus, actions, backend) -> RisppRuntime:
-    rt = RisppRuntime(_make_library(), 4, core_mhz=100.0, bus=bus, backend=backend)
-    now = 0
-    for action, dt in actions:
-        now += dt
-        kind = action[0]
-        if kind == "forecast":
-            _, task, si, expected, priority = action
-            rt.forecast(si, now, task=task, expected=expected, priority=priority)
-        elif kind == "end":
-            rt.forecast_end(action[2], now, task=action[1])
-        elif kind == "exec":
-            rt.execute_si(action[2], now, task=action[1])
-        elif kind == "fail":
-            rt.fail_container(action[1], now)
-        else:
-            rt.advance(now)
-    # Drain in-flight rotations so completion events are compared too.
-    rt.advance(now + 50_000)
-    return rt
+INTERLEAVINGS = pins.load_digests()["interleavings"]
 
 
 class TestBusMatchesDirectDispatch:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @settings(max_examples=40, deadline=None)
-    @given(actions=_action_sequences())
-    def test_trace_equivalence(self, backend, actions):
-        via_bus = _replay(default_bus(), actions, backend)
-        via_direct = _replay(DirectBus(), actions, backend)
-        assert trace_signature(via_bus.trace) == trace_signature(via_direct.trace)
+    """Seeded interleavings reproduce the direct-dispatch recordings."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @settings(max_examples=20, deadline=None)
-    @given(actions=_action_sequences())
-    def test_stats_equivalence(self, backend, actions):
-        via_bus = _replay(default_bus(), actions, backend)
-        via_direct = _replay(DirectBus(), actions, backend)
-        assert dataclasses.asdict(via_bus.stats) == dataclasses.asdict(
-            via_direct.stats
-        )
+    def test_trace_equivalence(self, backend):
+        for pin in INTERLEAVINGS:
+            got = pins.interleaving_pin(pin["seed"], backend)
+            assert got["trace"] == pin["trace"], pin["seed"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stats_equivalence(self, backend):
+        for pin in INTERLEAVINGS:
+            got = pins.interleaving_pin(pin["seed"], backend)
+            assert got["stats"] == pin["stats"], pin["seed"]
+
+    def test_every_pinned_seed_is_checked(self):
+        assert [p["seed"] for p in INTERLEAVINGS] == list(pins.INTERLEAVING_SEEDS)
 
 
 class TestEventBusContract:
-    def test_dispatch_order_is_priority_then_seq(self):
-        bus = EventBus()
+    def test_dispatch_order_is_priority_then_seq(self, monkeypatch):
         calls = []
-        bus.subscribe(Tick, lambda rt, ev: calls.append("late"), priority=50)
-        bus.subscribe(Tick, lambda rt, ev: calls.append("first"), priority=10)
-        bus.subscribe(Tick, lambda rt, ev: calls.append("second"), priority=10)
-        bus.publish(None, Tick(0))
+
+        def handler(tag):
+            return lambda rt, ev: calls.append(tag)
+
+        monkeypatch.setattr(events_mod, "DEFAULT_WIRING", (
+            (ReplanRequested, 50, handler("late")),
+            (ReplanRequested, 10, handler("first")),
+            (ReplanRequested, 10, handler("second")),
+        ))
+        EventBus().publish(None, ReplanRequested(0, task=None, reason="test"))
         assert calls == ["first", "second", "late"]
 
-    def test_unsubscribe_removes_handler(self):
-        bus = EventBus()
-        calls = []
-        sub = bus.subscribe(Tick, lambda rt, ev: calls.append("gone"))
-        bus.subscribe(Tick, lambda rt, ev: calls.append("kept"))
-        bus.unsubscribe(Tick, sub)
-        bus.publish(None, Tick(0))
-        assert calls == ["kept"]
-
-    def test_unknown_event_type_is_rejected(self):
+    def test_unknown_event_type_is_rejected(self, monkeypatch):
         class NotAnEvent:
             pass
 
+        monkeypatch.setattr(
+            events_mod, "DEFAULT_WIRING", ((NotAnEvent, 10, lambda rt, ev: None),)
+        )
         with pytest.raises(ValueError, match="unknown event type"):
-            EventBus().subscribe(NotAnEvent, lambda rt, ev: None)
+            EventBus()
 
     def test_default_bus_matches_documented_wiring(self):
-        wiring = default_bus().wiring()
-        expected: dict[str, list[tuple[int, str]]] = {
-            t.__name__: [] for t in EVENT_TYPES
-        }
-        for event_type, priority, handler in DEFAULT_WIRING:
-            expected[event_type.__name__].append((priority, handler.__name__))
-        assert wiring == {name: tuple(rows) for name, rows in expected.items()}
-
-    def test_subscriptions_expose_names_in_dispatch_order(self):
-        subs = default_bus().subscriptions(ForecastFired)
-        assert [s.priority for s in subs] == sorted(s.priority for s in subs)
-        assert subs[0].name == "_trace_forecast"
-        assert subs[0].priority == PRIORITY_TRACE
+        # DEFAULT_WIRING lists each event's handlers in priority order.
+        expected: dict[type, list] = {}
+        for event_type, _, handler in DEFAULT_WIRING:
+            expected.setdefault(event_type, []).append(handler)
+        table = EventBus()._table
+        assert table == {t: tuple(hs) for t, hs in expected.items()}
+        assert set(table) <= set(EVENT_TYPES)
+        assert table[ForecastFired][0] is events_mod._trace_forecast
 
 
 class TestEventLint:
     def test_default_bus_is_clean(self):
         assert lint_events().ok()
 
-    def test_missing_trace_handler_raises_evt001_and_evt002(self):
-        bus = default_bus()
-        doomed = [
-            s
-            for s in bus.subscriptions(ForecastFired)
-            if s.name == "_trace_forecast"
-        ]
-        bus.unsubscribe(ForecastFired, doomed[0])
-        rules = set(lint_events(bus).rule_ids())
-        assert "EVT001" in rules
-        assert "EVT002" in rules
+    def test_missing_trace_handler_raises_evt002(self):
+        wiring = tuple(
+            row for row in DEFAULT_WIRING
+            if row[2] is not events_mod._trace_forecast
+        )
+        assert "EVT002" in set(lint_events(wiring).rule_ids())
 
-    def test_extra_subscriber_is_a_wiring_divergence(self):
-        bus = default_bus()
-        bus.subscribe(Tick, lambda rt, ev: None, name="_rogue_tick", priority=99)
-        assert "EVT001" in set(lint_events(bus).rule_ids())
+    def test_extra_subscriber_is_a_wiring_divergence(self, monkeypatch):
+        # docs/events.md's dispatch-order table is the spec the wiring
+        # is held to; a handler the table does not list diverges from it.
+        def _replan_rogue(rt, ev):
+            pass
+
+        monkeypatch.setattr(
+            events_mod, "DEFAULT_WIRING",
+            DEFAULT_WIRING + ((ForecastFired, 60, _replan_rogue),),
+        )
+        findings = [f.message for f in _check_events_coverage(pins.REPO_ROOT)]
+        assert any("ForecastFired" in m and "order" in m for m in findings)
 
     def test_stale_non_bus_kind_raises_evt003(self, monkeypatch):
-        import repro.runtime.events as events_mod
-
         monkeypatch.setattr(events_mod, "NON_BUS_KINDS", frozenset())
         assert "EVT003" in set(lint_events().rule_ids())

@@ -262,15 +262,16 @@ class TestScheduleValidation:
             FaultInjector(schedule, backoff_cycles=0)
 
 
-class TestOptimizeEquivalence:
-    def test_same_schedule_same_trace_either_optimize_mode(self, library):
+class TestFaultedRunDeterminism:
+    def test_same_schedule_same_trace_verified(self, library):
+        from repro.analysis.verify import verify_runtime
         from repro.bench.harness import trace_signature
 
         schedule = FaultSchedule.generate(
             seed=11, horizon=852_370, containers=5, rate=20.0
         )
 
-        def run(optimize):
+        def run():
             injector = FaultInjector(FaultSchedule(list(schedule)))
             return run_si_stream(
                 library,
@@ -278,13 +279,13 @@ class TestOptimizeEquivalence:
                 [("SI0", 64), ("SI1", 16), ("SI2", 4), ("SI3", 1)],
                 containers=5,
                 block_rounds=6,
-                optimize=optimize,
                 fault_injector=injector,
             )
 
-        assert trace_signature(run(False).trace) == trace_signature(
-            run(True).trace
-        )
+        first = run()
+        assert trace_signature(first.trace) == trace_signature(run().trace)
+        report = verify_runtime(first, subject="faults:seed-11")
+        assert report.ok(), report.render_text()
 
 
 # -- satellite 1: fail_container hardening -----------------------------------

@@ -2,9 +2,9 @@
 
 Every case re-runs a scenario on the current code and compares it with
 its pin: the bench suites' trace digests, the full ``rispp-verify``
-golden traces of the aes and synthetic verify scenarios, and the trace
-and statistics digests of seeded random interleavings on every compute
-backend.  A mismatch means the runtime's observable behaviour changed;
+golden traces of the aes and synthetic verify scenarios.  (The seeded
+interleaving digests are checked in ``tests/test_events_property.py``.)
+A mismatch means the runtime's observable behaviour changed;
 if that was deliberate, regenerate the pins (``tests/pins.py`` says
 how) and record the change in CHANGES.md.
 """
@@ -12,18 +12,17 @@ how) and record the change in CHANGES.md.
 import pytest
 
 from repro.analysis.verify import load_golden, verify_golden
-from repro.core.backend import available_backends
+from repro.bench import scenario_runtime, trace_digest
 from tests import pins
 
 DIGESTS = pins.load_digests()
-BACKENDS = [None] + (["numpy"] if "numpy" in available_backends() else [])
 
 
 @pytest.mark.parametrize("mode", ["quick", "full"])
 @pytest.mark.parametrize("suite", pins.BENCH_SUITES)
 def test_bench_suite_trace_matches_pin(suite, mode):
-    rt = pins.bench_scenario(suite, mode == "quick")
-    assert pins.trace_digest(rt.trace) == DIGESTS["bench"][suite][mode]
+    rt = scenario_runtime(suite, quick=mode == "quick")
+    assert trace_digest(rt.trace) == DIGESTS["bench"][suite][mode]
 
 
 @pytest.mark.parametrize("suite", pins.GOLDEN_TRACE_SUITES)
@@ -32,10 +31,3 @@ def test_verify_scenario_matches_golden_trace(suite):
     assert pins.golden_text(suite) == path.read_text(encoding="utf-8")
     assert verify_golden(load_golden(str(path))).ok()
 
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_seeded_interleavings_match_pins(backend):
-    pinned = DIGESTS["interleavings"]
-    assert [p["seed"] for p in pinned] == list(pins.INTERLEAVING_SEEDS)
-    for pin in pinned:
-        assert pins.interleaving_pin(pin["seed"], backend) == pin, pin["seed"]

@@ -24,7 +24,7 @@ LIBRARY = build_synthetic_library()
 
 
 def fresh_runtime():
-    return RisppRuntime(LIBRARY, 5, core_mhz=100.0, optimize=True)
+    return RisppRuntime(LIBRARY, 5, core_mhz=100.0)
 
 
 def drive(rt, rounds, si0_calls):

@@ -8,6 +8,7 @@ payloads must surface as the typed :class:`RecoveryError` — never a
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,7 @@ def library():
 
 
 def fresh_runtime(library, *, containers=5):
-    return RisppRuntime(library, containers, core_mhz=100.0, optimize=True)
+    return RisppRuntime(library, containers, core_mhz=100.0)
 
 
 def run_prefix(rt, commands):
@@ -81,6 +82,31 @@ class TestRoundTrip:
         assert trace_signature(restored.trace) == trace_signature(
             original.trace
         )
+        assert trace_signature(restored.trace) == trace_signature(
+            reference.trace
+        )
+
+    def test_snapshot_with_retired_config_key_resumes_identically(self, library):
+        # Written by an older runtime after ``run_prefix(rt, 12)``; its
+        # config still carries the retired ``optimize`` key.  Restore
+        # compares only the keys the runtime writes today.
+        path = Path(__file__).parent / "golden" / "legacy_snapshot.json"
+        legacy = load_snapshot(path)
+        assert legacy["config"]["optimize"] is True
+
+        restored = fresh_runtime(library)
+        restore_runtime(restored, legacy)
+        again = snapshot_runtime(
+            restored, seq=12, cycle=legacy["cycle"], results=[None] * 12
+        )
+        del legacy["config"]["optimize"]
+        assert again == legacy
+
+        reference = fresh_runtime(library)
+        run_prefix(reference, 31)
+        t = legacy["cycle"]
+        for _ in range(19):
+            t += restored.execute_si("SI0", t)
         assert trace_signature(restored.trace) == trace_signature(
             reference.trace
         )

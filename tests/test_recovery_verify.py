@@ -29,7 +29,7 @@ def library():
 
 def run_store(library, store, *, injector=None, checkpoint_every=5):
     rt = RisppRuntime(
-        library, 5, core_mhz=100.0, optimize=True, faults=injector
+        library, 5, core_mhz=100.0, faults=injector
     )
     rec = RecoverableRuntime(rt, store, checkpoint_every=checkpoint_every)
     now = 1_000
