@@ -4,8 +4,9 @@ Three entry points tie the reference machine (:mod:`.machine`) and the
 static prover (:mod:`.feasibility`) to the rest of the repository:
 
 * :func:`verify_runtime` / :func:`verify_trace` — check a live
-  :class:`~repro.runtime.manager.RisppRuntime` (the bench harness calls
-  this so a trace that matches its pin must also satisfy the model);
+  :class:`~repro.runtime.manager.RisppRuntime` (the trace-pin
+  tests call this so a trace that matches its pin must also satisfy
+  the model);
 * :func:`run_verify_suite` — run one of the three shipped scenarios
   (``h264``/``aes``/``synthetic``), verify its trace and prove the
   library's feasibility bounds (``python -m repro verify --suite ...``);

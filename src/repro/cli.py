@@ -7,8 +7,6 @@ rispp-lint (see :mod:`repro.analysis`);
 ``python -m repro verify`` replays simulation traces against the formal
 reference machine and proves worst-case rotation-latency bounds with
 rispp-verify (see :mod:`repro.analysis.verify`);
-``python -m repro bench`` times the end-to-end flows and run-time hot
-paths and emits ``BENCH_runtime.json`` (see :mod:`repro.bench`);
 ``python -m repro chaos`` runs a seeded fault-injection campaign with
 scrubbing-based recovery and reports resilience metrics (see
 :mod:`repro.faults`);
@@ -521,67 +519,6 @@ def _explore(argv: list[str]) -> int:
     return result.exit_code()
 
 
-def _bench(argv: list[str]) -> int:
-    from .bench import SUITES, render_report, run_suite, write_report
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description=(
-            "Time the end-to-end RISPP flows and the run-time hot paths; "
-            "emit a schema-stable JSON performance report."
-        ),
-    )
-    parser.add_argument(
-        "--suite", choices=sorted(SUITES), default="synthetic",
-        help="workload to benchmark (default: synthetic)",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the report as JSON (e.g. BENCH_runtime.json)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced iteration counts (CI mode)",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=16, metavar="N",
-        help=(
-            "journal-commands-per-snapshot cadence of the recovery bench "
-            "stage (default: 16)"
-        ),
-    )
-    _add_backend_arg(parser)
-    args = parser.parse_args(argv)
-    _apply_backend(parser, args)
-    if args.checkpoint_every < 1:
-        parser.error(
-            f"--checkpoint-every must be positive, got {args.checkpoint_every}"
-        )
-    report = run_suite(
-        args.suite, quick=args.quick, checkpoint_every=args.checkpoint_every
-    )
-    print(render_report(report))
-    if args.json:
-        write_report(report, args.json)
-        print(f"\nreport written to {args.json}")
-    # A trace mismatch means an optimization changed event semantics, a
-    # verification failure means a trace broke the reference-machine
-    # invariants, and a stage equivalence flag means the backends
-    # diverged — all are correctness failures, not performance numbers.
-    e2e = report["end_to_end"]
-    stages_ok = all(
-        stage["extra"].get(flag, True)
-        for stage in report["stages"]
-        for flag in ("results_equal", "trace_equal", "trace_verified")
-    )
-    ok = (
-        e2e.get("trace_equal", True)
-        and e2e.get("trace_verified", True)
-        and stages_ok
-    )
-    return 0 if ok else 1
-
-
 #: Metadata file a checkpointed chaos run writes into its store, so
 #: ``--resume`` can rebuild the identical scenario without re-specifying
 #: the campaign flags.
@@ -999,7 +936,6 @@ TOOL_COMMANDS: dict[str, "Callable[[list[str]], int]"] = {
     "verify": _verify,
     "explore": _explore,
     "audit": _audit,
-    "bench": _bench,
     "chaos": _chaos,
     "metrics": _metrics,
     "serve": _serve,

@@ -1,7 +1,6 @@
 """Pluggable compute backends for the molecule-lattice hot paths.
 
-Profiling (BENCH_runtime.json) shows run-time molecule selection is the
-slowest hot path by roughly 50x: the inner loops of
+Run-time molecule selection is the slowest hot path by roughly 50x: the inner loops of
 :func:`repro.core.selection.select_greedy` rebuild the demand supremum
 per candidate, and :func:`repro.core.selection.select_exhaustive`
 enumerates the per-SI choice product one combination at a time.  Both
@@ -24,7 +23,7 @@ This module therefore splits *policy* from *kernels*:
   with the same float64 operations in the same order as the reference,
   and every arg-max replicates the reference's first-wins tie-breaking,
   so results are exactly equal — enforced by the backend-equivalence
-  fuzz tests and the ``selection_backend`` bench stage.
+  fuzz tests.
 
 Backend choice is resolved lazily through a three-step chain (see
 :func:`resolve_backend`): an explicit ``backend=`` argument wins, then a

@@ -14,7 +14,7 @@ reconfiguration management).  This package models them deterministically:
   repairs containers through the normal rotation port (bounded retry,
   exponential backoff), and accumulates :class:`ResilienceStats`;
 * :func:`run_chaos_suite` / ``python -m repro chaos`` — seeded chaos
-  runs of the bench suites with a deterministic resilience report, a
+  runs of the bench scenarios with a deterministic resilience report, a
   verified trace and a functional-equivalence check against the
   fault-free baseline;
 * :func:`static_repair_bound` — the provable worst-case

@@ -62,7 +62,7 @@ class MetricSpec:
     #: Histogram bucket upper bounds (+Inf implied); histograms only.
     buckets: tuple[float, ...] | None = None
     #: False for wall-clock-valued metrics, which deterministic
-    #: snapshots (seeded bench/chaos reports) must exclude.
+    #: snapshots (seeded chaos reports) must exclude.
     deterministic: bool = True
     #: Allowed values per label, in the order the exporters emit them
     #: when pre-registering children (keeps zero-valued series visible).

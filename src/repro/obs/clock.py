@@ -2,7 +2,7 @@
 
 Everything the platform computes is driven by *simulated* cycles, so
 seeded runs stay byte-identical; but the harnesses legitimately need
-host time — the bench stages time wall clock, the span timers of
+host time — the span timers of
 :mod:`repro.obs.registry` measure replan latency, reports carry a UTC
 stamp.  Concentrating those reads here gives the rispp-audit
 determinism sanitizer (rule AUD002) exactly one allowed sink: any other

@@ -9,8 +9,8 @@ Two consumers, two formats:
   sample state so tests can prove the round trip is lossless
   (``parse_prometheus(to_prometheus(r)) == exposition_state(r)``).
 * :func:`snapshot` / :func:`to_jsonl` produce the machine-readable
-  snapshot embedded in ``BENCH_runtime.json`` and the chaos resilience
-  reports (their shared ``metrics`` key).  With
+  snapshot embedded in the chaos resilience reports (their ``metrics``
+  key).  With
   ``deterministic_only=True`` (the embedded default) wall-clock span
   timers are dropped, so a seeded run snapshots byte-identically.
 

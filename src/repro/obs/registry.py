@@ -7,8 +7,8 @@ Design constraints, in order:
    additionally the hot seams (``execute_si``, the port's per-event
    paths) guard their whole instrumentation block behind a single
    pre-resolved boolean, so the disabled path costs one attribute truth
-   test per event — measured (< 3%) by the ``metrics_overhead`` bench
-   stage.
+   test per event and no call into ``repro.obs`` — asserted by
+   ``tests/test_obs_runtime.py::TestTelemetryCost``.
 2. **Deterministic exports.**  All counters/gauges/cycle histograms take
    simulated-cycle or count values, so a seeded run produces a
    byte-identical snapshot; wall-clock span timers are declared

@@ -1,7 +1,7 @@
 """Instrumented workloads behind ``python -m repro metrics``.
 
-Each suite runs one of the repo's standard scenarios (the same ones the
-bench harness times) with a live :class:`~repro.obs.MetricRegistry`
+Each suite runs one of the repo's standard scenarios (the same ones
+``tests/golden/digests.json`` pins) with a live :class:`~repro.obs.MetricRegistry`
 attached and returns it together with the runtime, so the CLI can export
 whatever the run recorded.  Open forecast windows are closed at the end
 of a run — a window that never closes would leave the forecast metrics

@@ -1,7 +1,7 @@
 """The runtime facade: deterministic scenarios over a process pool.
 
 :class:`RuntimeFacade` is the programmatic service surface the HTTP
-daemon (and the bench harness) sits on: it validates scenario payloads
+daemon sits on: it validates scenario payloads
 into :class:`ScenarioRequest` objects, runs each one through
 :func:`repro.faults.run_chaos_suite` in a worker process, and returns
 the rendered report — the exact bytes ``repro chaos --format json``

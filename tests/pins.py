@@ -29,11 +29,12 @@ from pathlib import Path
 
 from repro.analysis.verify import golden_from_runtime, run_verify_suite
 from repro.bench import scenario_runtime, trace_digest
-from repro.bench.harness import PINS_PATH
 from repro.runtime import RisppRuntime
 from tests.conftest import build_mini_library
 
-GOLDEN_DIR = PINS_PATH.parent
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+#: Committed trace digests; ``write_pins`` regenerates them.
+PINS_PATH = GOLDEN_DIR / "digests.json"
 REPO_ROOT = GOLDEN_DIR.parents[1]
 #: Verify scenarios whose whole golden trace is committed.
 GOLDEN_TRACE_SUITES = ("aes", "synthetic")
@@ -139,6 +140,11 @@ def golden_trace_path(suite: str) -> Path:
 
 def load_digests() -> dict:
     return json.loads(PINS_PATH.read_text(encoding="utf-8"))
+
+
+def pinned_digest(suite: str, *, quick: bool) -> str:
+    """The committed digest of a bench suite's end-to-end trace."""
+    return load_digests()["bench"][suite]["quick" if quick else "full"]
 
 
 def write_pins() -> None:

@@ -4,8 +4,8 @@ The numpy backend is only a fast path — it must reproduce the reference
 backend's ``SelectionResult``s *exactly* (same chosen implementations,
 same float benefits, same tie-breaks, same ``considered`` counters), and
 a runtime driven by either backend must emit identical traces.  These
-properties are the contract the ``selection_backend`` bench stage and
-the CI backend matrix enforce on fixed suites; here hypothesis hunts for
+properties are the contract the CI backend matrix enforces on fixed
+suites; here hypothesis hunts for
 libraries and workloads where the two disagree.
 """
 

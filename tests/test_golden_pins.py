@@ -1,8 +1,9 @@
 """The runtime's behaviour, held to references committed in ``tests/golden``.
 
 Every case re-runs a scenario on the current code and compares it with
-its pin: the bench suites' trace digests, the full ``rispp-verify``
-golden traces of the aes and synthetic verify scenarios.  (The seeded
+its pin: the bench suites' trace digests (each trace also replays
+cleanly through ``rispp-verify``), the full ``rispp-verify`` golden
+traces of the aes and synthetic verify scenarios.  (The seeded
 interleaving digests are checked in ``tests/test_events_property.py``.)
 A mismatch means the runtime's observable behaviour changed;
 if that was deliberate, regenerate the pins (``tests/pins.py`` says
@@ -11,8 +12,9 @@ how) and record the change in CHANGES.md.
 
 import pytest
 
-from repro.analysis.verify import load_golden, verify_golden
-from repro.bench import scenario_runtime, trace_digest
+from repro.analysis.verify import load_golden, verify_golden, verify_runtime
+from repro.bench import scenario_runtime, trace_digest, trace_signature
+from repro.sim import EventKind, Trace
 from tests import pins
 
 DIGESTS = pins.load_digests()
@@ -23,6 +25,24 @@ DIGESTS = pins.load_digests()
 def test_bench_suite_trace_matches_pin(suite, mode):
     rt = scenario_runtime(suite, quick=mode == "quick")
     assert trace_digest(rt.trace) == DIGESTS["bench"][suite][mode]
+    # A pin that recorded wrong behaviour must not pass either.
+    assert verify_runtime(rt, subject=f"bench:{suite}").errors() == []
+
+
+def test_unknown_bench_suite_rejected():
+    with pytest.raises(ValueError, match="unknown bench suite 'mp3'"):
+        scenario_runtime("mp3", quick=True)
+
+
+def test_trace_signature_resolves_lazy_details():
+    eager, lazy = Trace(), Trace()
+    eager.record(5, EventKind.SI_EXECUTED, si="S", mode="HW", cycles=12)
+    lazy.record_lazy(
+        5, EventKind.SI_EXECUTED, lambda: {"mode": "HW", "cycles": 12},
+        si="S",
+    )
+    assert trace_signature(eager) == trace_signature(lazy)
+    assert trace_signature(eager) != trace_signature(Trace())
 
 
 @pytest.mark.parametrize("suite", pins.GOLDEN_TRACE_SUITES)

@@ -1,12 +1,16 @@
 """Telemetry wired through the runtime: counts match the trace/stats,
 and metrics never perturb simulation semantics (trace equivalence)."""
 
+import sys
+
 import pytest
 
-from repro.bench import pinned_digest, trace_digest, trace_signature
+from repro.bench import trace_digest, trace_signature
 from repro.bench.suites import build_synthetic_library, run_si_stream
 from repro.obs import MetricRegistry
+from repro.runtime import RisppRuntime
 from repro.sim import EventKind
+from tests.pins import pinned_digest
 
 # The proven synthetic stream of the bench/chaos suites: strong enough
 # loop-head forecasts that rotations land and executions upgrade to HW.
@@ -178,3 +182,35 @@ class TestTraceEquivalence:
         assert trace_signature(plain.trace) == trace_signature(
             instrumented_rt.trace
         )
+
+
+def _obs_calls(metrics, executions: int = 200) -> int:
+    """Python calls into ``repro.obs`` during ``executions`` primed executions."""
+    rt = RisppRuntime(build_synthetic_library(), 5, core_mhz=100.0, metrics=metrics)
+    for si_name, expected in FORECASTS:
+        rt.forecast(si_name, 0, expected=expected)
+    now = max((j.finish_at for j in rt.port.jobs), default=0) + 1
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_globals.get("__name__", "").startswith(
+            "repro.obs"
+        ):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        for _ in range(executions):
+            now += rt.execute_si("SI0", now)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestTelemetryCost:
+    def test_disabled_telemetry_makes_no_obs_calls(self):
+        # Disabled telemetry costs one boolean guard per event and never
+        # enters repro.obs; the enabled run shows the profile sees it.
+        assert _obs_calls(None) == 0
+        assert _obs_calls(MetricRegistry()) > 0

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import verify_runtime
 from repro.apps.h264 import build_h264_library
-from repro.bench import pinned_digest, trace_digest
+from repro.bench import trace_digest
 from repro.bench.suites import h264_scenario
 from repro.core import select_greedy
 from repro.hardware import Fabric, ReconfigurationPort
@@ -191,7 +191,7 @@ class TestOptimizedRuntimeEquivalence:
         rt = h264_scenario(library, quick=True)
         # Identical to the pin recorded while the uncached runtime
         # still produced the same trace.
-        assert trace_digest(rt.trace) == pinned_digest("h264", quick=True)
+        assert trace_digest(rt.trace) == pins.pinned_digest("h264", quick=True)
         # The caches actually engaged: redundant replans were skipped.
         assert rt.stats.replans_skipped > 0
         assert verify_runtime(rt, subject="h264:quick").ok()
