@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.analysis.rules import RULES, families, rules_of_family
-from repro.cli import EXPERIMENTS, TOOL_FAMILIES, main
+from repro.cli import EXPERIMENTS, TOOL_COMMANDS, TOOL_FAMILIES, main
 
 
 class TestCLI:
@@ -55,6 +55,12 @@ class TestCLI:
         err = capsys.readouterr().err
         for tool in ("lint", "verify", "explore", "audit"):
             assert tool in err
+
+    def test_retired_bench_command_is_unknown(self, capsys):
+        assert "bench" not in TOOL_COMMANDS
+        assert main(["bench"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'bench'" in err and "usage: repro" in err
 
     def test_experiment_rejects_extra_arguments(self, capsys):
         assert main(["fig1", "--bogus"]) == 2
