@@ -51,7 +51,6 @@ def run_si_stream(
     energy_model=None,
     fault_injector=None,
     metrics=None,
-    backend=None,
     wrap=None,
 ) -> RisppRuntime:
     """Fire the loop-head forecasts, then execute the SI stream.
@@ -66,7 +65,6 @@ def run_si_stream(
     rt = RisppRuntime(
         library, containers, core_mhz=100.0,
         energy_model=energy_model, faults=fault_injector, metrics=metrics,
-        backend=backend,
     )
     if wrap is not None:
         # Recovery hook (repro.recovery): journals the stream so the run

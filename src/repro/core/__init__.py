@@ -8,15 +8,10 @@ dataflow scheduling of Atom operations, and run-time molecule selection
 
 from .atom import AtomCatalogue, AtomKind
 from .backend import (
-    BackendUnavailableError,
     ComputeBackend,
     NumpyBackend,
     ReferenceBackend,
-    available_backends,
-    default_backend,
-    get_backend,
     resolve_backend,
-    set_default_backend,
 )
 from .atomshare import (
     AtomProposal,
@@ -56,15 +51,10 @@ __all__ = [
     "AtomCatalogue",
     "AtomKind",
     "AtomProposal",
-    "BackendUnavailableError",
     "ComputeBackend",
     "NumpyBackend",
     "ReferenceBackend",
-    "available_backends",
-    "default_backend",
-    "get_backend",
     "resolve_backend",
-    "set_default_backend",
     "GenerationReport",
     "AtomOp",
     "AtomSpace",

@@ -1,4 +1,4 @@
-"""Pluggable compute backends for the molecule-lattice hot paths.
+"""Compute backends for the molecule-lattice hot paths.
 
 Run-time molecule selection is the slowest hot path by roughly 50x: the inner loops of
 :func:`repro.core.selection.select_greedy` rebuild the demand supremum
@@ -25,21 +25,22 @@ This module therefore splits *policy* from *kernels*:
   so results are exactly equal — enforced by the backend-equivalence
   fuzz tests.
 
-Backend choice is resolved lazily through a three-step chain (see
-:func:`resolve_backend`): an explicit ``backend=`` argument wins, then a
-library-pinned preference (``SILibrary(..., backend=...)``), then the
-process default (:func:`set_default_backend`, else the
-``REPRO_BACKEND`` environment variable, else ``"reference"``).
+Production code runs on one :data:`SHIPPED` ``NumpyBackend`` instance.
+The reference stays as the specification the equivalence tests diff
+against; the per-call ``backend=`` argument of the selection and Pareto
+entry points is the hook through which a test substitutes it (or a
+probe).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import weakref
 from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
-from typing import TYPE_CHECKING, Any, Union
+from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from .molecule import Molecule, supremum
 
@@ -48,19 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .selection import ForecastedSI
     from .si import MoleculeImpl
 
-#: Environment variable consulted for the process-default backend.
-DEFAULT_BACKEND_ENV = "REPRO_BACKEND"
-
-#: A backend name or an already-constructed backend instance.
-BackendSpec = Union[str, "ComputeBackend"]
-
 #: Stacked count vectors: one row per molecule, ordered like
 #: ``AtomSpace.kinds``.
 Rows = Sequence[Sequence[int]]
-
-
-class BackendUnavailableError(RuntimeError):
-    """A registered backend cannot run here (missing dependency)."""
 
 
 # -- shared scoring helpers ---------------------------------------------------
@@ -96,11 +87,8 @@ class ComputeBackend(ABC):
     molecule, components ordered like the owning ``AtomSpace``); the
     selection entry points receive domain objects because their inner
     loops are what the backends specialise.  Implementations must be
-    stateless: one cached instance per name is shared process-wide.
+    stateless: :data:`SHIPPED` is one instance shared process-wide.
     """
-
-    #: Registry name; also what ``--backend`` and ``$REPRO_BACKEND`` take.
-    name = "abstract"
 
     # -- batched lattice primitives --------------------------------------
 
@@ -178,8 +166,6 @@ class ReferenceBackend(ComputeBackend):
     reference itself exists so the vectorized paths have a small,
     readable specification to be diffed against.
     """
-
-    name = "reference"
 
     def sup(self, rows: Rows, dim: int) -> tuple[int, ...]:
         out = [0] * dim
@@ -322,17 +308,6 @@ class ReferenceBackend(ComputeBackend):
 # -- the vectorized fast path -------------------------------------------------
 
 
-def _require_numpy() -> Any:
-    try:
-        import numpy
-    except ImportError as exc:  # pragma: no cover - numpy ships by default
-        raise BackendUnavailableError(
-            "the 'numpy' compute backend requires numpy "
-            "(install the 'repro[numpy]' extra)"
-        ) from exc
-    return numpy
-
-
 class NumpyBackend(ComputeBackend):
     """Vectorized kernels over stacked ``int64`` count matrices.
 
@@ -340,14 +315,10 @@ class NumpyBackend(ComputeBackend):
     approximate: candidate benefits enter the arrays as the same python
     floats the reference computes, scores use the same float64 add /
     divide, enumeration follows the same row-major order, and ties pick
-    the same first-encountered winner.  Construction raises
-    :class:`BackendUnavailableError` when numpy is not importable.
+    the same first-encountered winner.
     """
 
-    name = "numpy"
-
     def __init__(self) -> None:
-        self._np = _require_numpy()
         #: Per-library staging cache: libraries are immutable after
         #: construction, so their rc mask, baseline vector and candidate
         #: matrices (which depend only on SI structure, never on the
@@ -360,7 +331,6 @@ class NumpyBackend(ComputeBackend):
     # -- batched lattice primitives --------------------------------------
 
     def sup(self, rows: Rows, dim: int) -> tuple[int, ...]:
-        np = self._np
         rows = list(rows)
         if not rows:
             return (0,) * dim
@@ -369,7 +339,6 @@ class NumpyBackend(ComputeBackend):
         )
 
     def inf(self, rows: Rows) -> tuple[int, ...]:
-        np = self._np
         rows = list(rows)
         if not rows:
             raise ValueError("infimum of an empty set is unbounded")
@@ -380,7 +349,6 @@ class NumpyBackend(ComputeBackend):
     def residual(
         self, rows: Rows, available: Sequence[int]
     ) -> list[tuple[int, ...]]:
-        np = self._np
         rows = list(rows)
         if not rows:
             return []
@@ -390,7 +358,6 @@ class NumpyBackend(ComputeBackend):
         return [tuple(int(c) for c in row) for row in left]
 
     def determinants(self, rows: Rows) -> list[int]:
-        np = self._np
         rows = list(rows)
         if not rows:
             return []
@@ -401,7 +368,6 @@ class NumpyBackend(ComputeBackend):
     def pareto_mask(
         self, atoms: Sequence[int], cycles: Sequence[int]
     ) -> list[bool]:
-        np = self._np
         if not len(atoms):
             return []
         a = np.asarray(atoms, dtype=np.int64)
@@ -418,7 +384,6 @@ class NumpyBackend(ComputeBackend):
         """The per-library staging cache (created on first use)."""
         cache = self._staging.get(library)
         if cache is None:
-            np = self._np
             rc = set(library.catalogue.reconfigurable_names())
             cache = {
                 "rc_mask": np.asarray(
@@ -452,7 +417,6 @@ class NumpyBackend(ComputeBackend):
         key = ("candidates", tuple(r.si.name for r in requests))
         staged = cache.get(key)
         if staged is None:
-            np = self._np
             rc_mask = cache["rc_mask"]
             cand_impls: list[MoleculeImpl] = []
             cand_si: list[int] = []
@@ -482,7 +446,6 @@ class NumpyBackend(ComputeBackend):
         container_budget: int,
         loaded_rc: Molecule,
     ) -> tuple[dict[str, "MoleculeImpl | None"], int]:
-        np = self._np
         requests = list(requests)
         names = [r.si.name for r in requests]
         chosen: dict[str, MoleculeImpl | None] = {n: None for n in names}
@@ -571,7 +534,6 @@ class NumpyBackend(ComputeBackend):
         requests: "Sequence[ForecastedSI]",
         container_budget: int,
     ) -> tuple[dict[str, "MoleculeImpl | None"], float, int]:
-        np = self._np
         requests = list(requests)
         if not requests:
             # product() of no option lists yields exactly one empty combo.
@@ -645,81 +607,14 @@ class NumpyBackend(ComputeBackend):
         return best_choice, best_benefit, total
 
 
-# -- registry and resolution --------------------------------------------------
+# -- the shipped instance -----------------------------------------------------
 
 
-_REGISTRY: dict[str, type[ComputeBackend]] = {
-    ReferenceBackend.name: ReferenceBackend,
-    NumpyBackend.name: NumpyBackend,
-}
-_instances: dict[str, ComputeBackend] = {}
-_default_spec: BackendSpec | None = None
+#: The kernels every selection and Pareto call runs on unless a test
+#: passes its own ``backend=``.
+SHIPPED: ComputeBackend = NumpyBackend()
 
 
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names (availability is checked on first use)."""
-    return tuple(_REGISTRY)
-
-
-def get_backend(spec: BackendSpec) -> ComputeBackend:
-    """Resolve a backend name to its shared instance.
-
-    Instances pass through unchanged.  Unknown names raise
-    ``ValueError``; a backend whose dependencies are missing raises
-    :class:`BackendUnavailableError` on first construction.
-    """
-    if isinstance(spec, ComputeBackend):
-        return spec
-    try:
-        cls = _REGISTRY[spec]
-    except (KeyError, TypeError):
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(
-            f"unknown compute backend {spec!r}; choose from {known}"
-        ) from None
-    instance = _instances.get(spec)
-    if instance is None:
-        instance = cls()
-        _instances[spec] = instance
-    return instance
-
-
-def set_default_backend(spec: BackendSpec | None) -> None:
-    """Pin the process-wide default backend (validated eagerly).
-
-    ``None`` resets to the environment chain (``$REPRO_BACKEND``, then
-    ``reference``).  The CLI ``--backend`` flag lands here.
-    """
-    global _default_spec
-    if spec is not None:
-        get_backend(spec)
-    _default_spec = spec
-
-
-def default_backend() -> ComputeBackend:
-    """The process default backend.
-
-    Resolution order: :func:`set_default_backend`, then the
-    ``REPRO_BACKEND`` environment variable (read lazily, so test
-    monkeypatching works), then ``reference``.  An invalid environment
-    value fails loudly at first use rather than being silently ignored.
-    """
-    if _default_spec is not None:
-        return get_backend(_default_spec)
-    env = os.environ.get(DEFAULT_BACKEND_ENV)
-    if env:
-        return get_backend(env)
-    return get_backend(ReferenceBackend.name)
-
-
-def resolve_backend(
-    spec: BackendSpec | None = None, library: "SILibrary | None" = None
-) -> ComputeBackend:
-    """Three-step resolution: explicit spec > library pin > process default."""
-    if spec is not None:
-        return get_backend(spec)
-    if library is not None:
-        pinned = getattr(library, "backend", None)
-        if pinned is not None:
-            return get_backend(pinned)
-    return default_backend()
+def resolve_backend(backend: ComputeBackend | None = None) -> ComputeBackend:
+    """``backend`` if given, else the shipped instance."""
+    return SHIPPED if backend is None else backend

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backend import BackendSpec, resolve_backend
+from .backend import ComputeBackend, resolve_backend
 from .si import MoleculeImpl, SpecialInstruction
 
 
@@ -44,7 +44,7 @@ def tradeoff_points(
 
 
 def pareto_front(
-    points: list[ParetoPoint], *, backend: BackendSpec | None = None
+    points: list[ParetoPoint], *, backend: ComputeBackend | None = None
 ) -> list[ParetoPoint]:
     """The non-dominated subset, sorted by ``(atoms, cycles)``.
 
@@ -56,8 +56,8 @@ def pareto_front(
     *all* stay on the front (in their original relative order); callers
     wanting one representative per coordinate must dedupe explicitly.
 
-    The domination scan runs on the resolved compute backend (see
-    :mod:`repro.core.backend`); ``backend`` overrides it per call.
+    The domination scan runs on the shipped compute backend (see
+    :mod:`repro.core.backend`); ``backend`` replaces it for this call.
     """
     ordered = sorted(points, key=lambda p: (p.atoms, p.cycles))
     if not ordered:

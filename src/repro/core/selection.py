@@ -17,11 +17,10 @@ Two algorithms are provided:
 * :func:`select_exhaustive` — optimal reference for small libraries,
   used by tests and the selection ablation bench.
 
-Both delegate their inner scoring/enumeration loops to a pluggable
-:class:`~repro.core.backend.ComputeBackend` (``backend=`` argument; see
-:mod:`repro.core.backend` for the resolution chain) — the pure-python
-``reference`` backend is the specification, the ``numpy`` backend the
-vectorized fast path, and they produce identical ``SelectionResult``s.
+Both delegate their inner scoring/enumeration loops to the shipped
+``numpy`` :class:`~repro.core.backend.ComputeBackend`; the pure-python
+``reference`` backend is the specification the tests diff it against
+(identical ``SelectionResult``s), passed in through ``backend=``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
-from .backend import BackendSpec, benefit, demand, resolve_backend
+from .backend import ComputeBackend, benefit, demand, resolve_backend
 from .library import SILibrary
 from .molecule import Molecule
 from .si import MoleculeImpl, SpecialInstruction
@@ -117,7 +116,7 @@ def select_greedy(
     container_budget: int,
     *,
     loaded: Molecule | None = None,
-    backend: BackendSpec | None = None,
+    backend: ComputeBackend | None = None,
 ) -> SelectionResult:
     """Greedy marginal-gain molecule selection.
 
@@ -131,8 +130,7 @@ def select_greedy(
     reusing them is free — this minimises the number of rotations, a
     stated goal of the paper.
 
-    ``backend`` overrides the compute backend for this call (name or
-    instance); otherwise the library pin or process default applies.
+    ``backend`` replaces the shipped compute backend for this call.
     """
     if container_budget < 0:
         raise ValueError("container budget cannot be negative")
@@ -142,7 +140,7 @@ def select_greedy(
         if loaded is not None
         else library.space.zero()
     )
-    chosen, considered = resolve_backend(backend, library).greedy_choose(
+    chosen, considered = resolve_backend(backend).greedy_choose(
         library, requests, container_budget, loaded_rc
     )
     return _result(library, requests, chosen, considered)
@@ -154,7 +152,7 @@ def select_exhaustive(
     container_budget: int,
     *,
     loaded: Molecule | None = None,
-    backend: BackendSpec | None = None,
+    backend: ComputeBackend | None = None,
 ) -> SelectionResult:
     """Optimal selection by enumerating all per-SI implementation choices.
 
@@ -169,9 +167,9 @@ def select_exhaustive(
     if container_budget < 0:
         raise ValueError("container budget cannot be negative")
     requests = _checked_requests(requests)
-    chosen, total, considered = resolve_backend(
-        backend, library
-    ).exhaustive_choose(library, requests, container_budget)
+    chosen, total, considered = resolve_backend(backend).exhaustive_choose(
+        library, requests, container_budget
+    )
     return _result(library, requests, chosen, considered, total=total)
 
 
@@ -181,7 +179,7 @@ def upgrade_path(
     max_containers: int,
     *,
     loaded: Molecule | None = None,
-    backend: BackendSpec | None = None,
+    backend: ComputeBackend | None = None,
 ) -> list[SelectionResult]:
     """Selection results for every container budget ``0..max_containers``.
 

@@ -9,11 +9,10 @@ prints for the same flags (``json.dumps(report, indent=2,
 sort_keys=True)`` plus a trailing newline).
 
 Determinism contract: a scenario's output is a pure function of its
-request fields.  Workers re-pin the process-default compute backend on
-every call (including back to "unpinned" when the request names none),
-so pool reuse cannot leak one request's backend into the next, and two
-facades with different worker counts produce byte-identical responses
-for the same request.
+request fields.  Workers hold no per-request state (every run uses the
+one shipped compute backend), so pool reuse cannot leak one request
+into the next, and two facades with different worker counts produce
+byte-identical responses for the same request.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ SCENARIO_DEFAULTS: dict[str, Any] = {
     "max_retries": 3,
     "backoff_cycles": 1_000,
     "quick": True,
-    "backend": None,
 }
 
 
@@ -59,14 +57,12 @@ class ScenarioRequest:
     max_retries: int
     backoff_cycles: int
     quick: bool
-    backend: str | None
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "ScenarioRequest":
         """Validate a JSON payload; raise :class:`ScenarioError` on junk."""
         import math
 
-        from ..core.backend import available_backends
         from ..faults import CHAOS_SUITES
 
         if not isinstance(payload, Mapping):
@@ -84,14 +80,28 @@ class ScenarioRequest:
             raise ScenarioError(
                 f"unknown suite {suite!r}; one of {sorted(CHAOS_SUITES)}"
             )
-        try:
-            seed = int(merged["seed"])
-            fault_rate = float(merged["fault_rate"])
-            scrub_period = int(merged["scrub_period"])
-            max_retries = int(merged["max_retries"])
-            backoff_cycles = int(merged["backoff_cycles"])
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"malformed scenario field: {exc}") from None
+        # JSON integers only: an integral float or a bool (an int
+        # subclass) is junk, as it is to the CLI's ``type=int`` flags.
+        for name in ("seed", "scrub_period", "max_retries", "backoff_cycles"):
+            value = merged[name]
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ScenarioError(
+                    f"malformed scenario field: {name} must be an integer, "
+                    f"got {value!r}"
+                )
+        fault_rate = merged["fault_rate"]
+        if isinstance(fault_rate, bool) or not isinstance(
+            fault_rate, (int, float)
+        ):
+            raise ScenarioError(
+                f"malformed scenario field: fault_rate must be a number, "
+                f"got {fault_rate!r}"
+            )
+        fault_rate = float(fault_rate)
+        seed = merged["seed"]
+        scrub_period = merged["scrub_period"]
+        max_retries = merged["max_retries"]
+        backoff_cycles = merged["backoff_cycles"]
         if seed < 1:
             raise ScenarioError(f"seed must be positive, got {seed}")
         if not math.isfinite(fault_rate) or fault_rate < 0:
@@ -110,15 +120,6 @@ class ScenarioRequest:
             raise ScenarioError(
                 f"backoff_cycles must be positive, got {backoff_cycles}"
             )
-        backend = merged["backend"]
-        if backend is not None:
-            if not isinstance(backend, str):
-                raise ScenarioError("backend must be a string or null")
-            if backend not in available_backends():
-                raise ScenarioError(
-                    f"backend {backend!r} is not available here; one of "
-                    f"{list(available_backends())}"
-                )
         quick = merged["quick"]
         if not isinstance(quick, bool):
             raise ScenarioError("quick must be a boolean")
@@ -130,7 +131,6 @@ class ScenarioRequest:
             max_retries=max_retries,
             backoff_cycles=backoff_cycles,
             quick=quick,
-            backend=backend,
         )
 
     def to_payload(self) -> dict[str, Any]:
@@ -142,13 +142,8 @@ def render_scenario(request: ScenarioRequest) -> str:
 
     Byte-identical to ``repro chaos --format json`` with the same flags.
     """
-    from ..core.backend import set_default_backend
     from ..faults import run_chaos_suite
 
-    # Re-pin (or unpin) the process default on every call: worker
-    # processes are reused across requests and must not inherit the
-    # previous request's backend.
-    set_default_backend(request.backend)
     report = run_chaos_suite(
         request.suite,
         seed=request.seed,

@@ -7,9 +7,11 @@ from repro.core import (
     AtomCatalogue,
     AtomKind,
     MoleculeImpl,
+    ReferenceBackend,
     SILibrary,
     SpecialInstruction,
 )
+from repro.core import backend as backend_mod
 
 
 def build_mini_catalogue() -> AtomCatalogue:
@@ -56,6 +58,19 @@ def build_mini_library(mini_catalogue: AtomCatalogue | None = None) -> SILibrary
         ],
     )
     return SILibrary(mini_catalogue, [ht, satd])
+
+
+@pytest.fixture(params=["numpy", "reference"])
+def kernels(request, monkeypatch):
+    """Run the test on the shipped numpy kernels, then on the reference.
+
+    The reference case swaps :data:`repro.core.backend.SHIPPED` for a
+    :class:`ReferenceBackend`, so everything that selects without an
+    explicit ``backend=`` runs on the executable specification.
+    """
+    if request.param == "reference":
+        monkeypatch.setattr(backend_mod, "SHIPPED", ReferenceBackend())
+    return backend_mod.SHIPPED
 
 
 @pytest.fixture()

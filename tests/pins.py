@@ -74,14 +74,12 @@ def seeded_actions(seed: int) -> list[tuple]:
     return actions
 
 
-def replay(actions, backend=None, *, prepare=None) -> RisppRuntime:
+def replay(actions, *, prepare=None) -> RisppRuntime:
     """Drive a fresh runtime through ``actions``, then drain the port.
 
     ``prepare`` is called with the fresh runtime before the first action.
     """
-    rt = RisppRuntime(
-        build_mini_library(), CONTAINERS, core_mhz=100.0, backend=backend
-    )
+    rt = RisppRuntime(build_mini_library(), CONTAINERS, core_mhz=100.0)
     if prepare is not None:
         prepare(rt)
     now = 0
@@ -107,8 +105,8 @@ def replay(actions, backend=None, *, prepare=None) -> RisppRuntime:
 # -- digests ------------------------------------------------------------------
 
 
-def interleaving_pin(seed: int, backend=None) -> dict:
-    rt = replay(seeded_actions(seed), backend)
+def interleaving_pin(seed: int) -> dict:
+    rt = replay(seeded_actions(seed))
     return {
         "seed": seed,
         "trace": trace_digest(rt.trace),

@@ -652,16 +652,15 @@ class TestRealTree:
 
     def test_baseline_suppressions_are_minimal_and_live(self):
         result = run_audit()
-        # Exactly the documented REPRO_BACKEND env read, nothing else.
-        assert result.suppressed == 1
+        # The baseline is empty: nothing is suppressed, nothing is stale.
+        assert result.suppressed == 0
         assert result.stale_suppressions == []
 
     def test_without_baseline_only_documented_findings_remain(self):
+        # No finding is documented any more, so none may remain.
         result = run_audit(baseline=None)
-        assert result.report.rule_ids() == ["AUD003"]
-        (finding,) = result.report.diagnostics
-        assert finding.subject == "src/repro/core/backend.py"
-        assert finding.context["symbol"] == "default_backend"
+        assert result.report.rule_ids() == []
+        assert result.exit_code() == 0
 
     def test_display_paths_are_repo_relative(self):
         result = run_audit(baseline=None)

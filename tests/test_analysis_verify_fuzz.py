@@ -10,6 +10,7 @@ rule (no cascades: one corruption, one finding family).
 """
 
 import dataclasses
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,14 +20,19 @@ from repro.core import (
     AtomCatalogue,
     AtomKind,
     MoleculeImpl,
+    ReferenceBackend,
     SILibrary,
     SpecialInstruction,
+    select_greedy,
 )
-from repro.core.backend import available_backends
 from repro.runtime import RisppRuntime
 from repro.sim import Event, EventKind
 
-BACKENDS = ["reference"] + (["numpy"] if "numpy" in available_backends() else [])
+#: Selection on the shipped kernels and on the reference specification.
+SELECTIONS = {
+    "numpy": select_greedy,
+    "reference": partial(select_greedy, backend=ReferenceBackend()),
+}
 
 
 def _fuzz_library() -> SILibrary:
@@ -82,8 +88,8 @@ class TestFuzzedInterleavings:
     def test_both_runtimes_always_verify_clean(self, ops):
         library = _fuzz_library()
         runtimes = {
-            backend: RisppRuntime(library, 3, core_mhz=100.0, backend=backend)
-            for backend in BACKENDS
+            name: RisppRuntime(library, 3, core_mhz=100.0, selection=selection)
+            for name, selection in SELECTIONS.items()
         }
         now = 0
         for op, si, delta, scale in ops:

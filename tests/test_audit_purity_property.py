@@ -10,11 +10,10 @@ non-mutation exactly where the analyzer claims purity.
 
 import copy
 
-import pytest
 from hypothesis import given, settings
 
 from repro.analysis.audit import package_root, run_audit
-from repro.core.backend import available_backends, get_backend
+from repro.core import NumpyBackend, ReferenceBackend
 from tests.test_backend_equivalence import library_and_workload
 
 KERNEL_CLASSES = ("ReferenceBackend", "NumpyBackend")
@@ -86,20 +85,17 @@ def test_reference_kernels_do_not_mutate_inputs(bundle):
     library, requests, budget = bundle
     before_lib = library_fingerprint(library)
     before_req = requests_fingerprint(requests)
-    exercise_kernels(get_backend("reference"), library, requests, budget)
+    exercise_kernels(ReferenceBackend(), library, requests, budget)
     assert library_fingerprint(library) == before_lib
     assert requests_fingerprint(requests) == before_req
 
 
-@pytest.mark.skipif(
-    "numpy" not in available_backends(), reason="numpy not installed"
-)
 @settings(max_examples=40, deadline=None)
 @given(library_and_workload())
 def test_numpy_kernels_do_not_mutate_inputs(bundle):
     library, requests, budget = bundle
     before_lib = library_fingerprint(library)
     before_req = requests_fingerprint(requests)
-    exercise_kernels(get_backend("numpy"), library, requests, budget)
+    exercise_kernels(NumpyBackend(), library, requests, budget)
     assert library_fingerprint(library) == before_lib
     assert requests_fingerprint(requests) == before_req

@@ -3,10 +3,9 @@
 The numpy backend is only a fast path — it must reproduce the reference
 backend's ``SelectionResult``s *exactly* (same chosen implementations,
 same float benefits, same tie-breaks, same ``considered`` counters), and
-a runtime driven by either backend must emit identical traces.  These
-properties are the contract the CI backend matrix enforces on fixed
-suites; here hypothesis hunts for
-libraries and workloads where the two disagree.
+a runtime driven by either backend must emit identical traces.  The
+pinned-trace tests hold both backends to fixed suites; here hypothesis
+hunts for libraries and workloads where the two disagree.
 """
 
 from hypothesis import given, settings
@@ -19,14 +18,19 @@ from repro.core import (
     AtomKind,
     ForecastedSI,
     MoleculeImpl,
+    NumpyBackend,
+    ReferenceBackend,
     SILibrary,
     SpecialInstruction,
     select_exhaustive,
     select_greedy,
     upgrade_path,
 )
+from repro.core import backend as backend_mod
 
 KINDS = ["A", "B", "C", "D"]
+REFERENCE = ReferenceBackend()
+NUMPY = NumpyBackend()
 
 
 @st.composite
@@ -75,8 +79,8 @@ def loaded_molecule(draw, library):
 @given(library_and_workload())
 def test_greedy_backends_agree_exactly(bundle):
     library, requests, budget = bundle
-    ref = select_greedy(library, requests, budget, backend="reference")
-    fast = select_greedy(library, requests, budget, backend="numpy")
+    ref = select_greedy(library, requests, budget, backend=REFERENCE)
+    fast = select_greedy(library, requests, budget, backend=NUMPY)
     # Full dataclass equality: chosen impls (identity through ==), float
     # benefit, demand molecule, containers and the considered counter.
     assert ref == fast
@@ -86,8 +90,8 @@ def test_greedy_backends_agree_exactly(bundle):
 @given(library_and_workload())
 def test_exhaustive_backends_agree_exactly(bundle):
     library, requests, budget = bundle
-    ref = select_exhaustive(library, requests, budget, backend="reference")
-    fast = select_exhaustive(library, requests, budget, backend="numpy")
+    ref = select_exhaustive(library, requests, budget, backend=REFERENCE)
+    fast = select_exhaustive(library, requests, budget, backend=NUMPY)
     assert ref == fast
 
 
@@ -97,10 +101,10 @@ def test_greedy_backends_agree_with_loaded_atoms(data):
     library, requests, budget = data.draw(library_and_workload())
     loaded = data.draw(loaded_molecule(library))
     ref = select_greedy(
-        library, requests, budget, loaded=loaded, backend="reference"
+        library, requests, budget, loaded=loaded, backend=REFERENCE
     )
     fast = select_greedy(
-        library, requests, budget, loaded=loaded, backend="numpy"
+        library, requests, budget, loaded=loaded, backend=NUMPY
     )
     assert ref == fast
 
@@ -112,19 +116,19 @@ def test_backends_agree_with_static_kinds(bundle):
     # the vectorized candidate staging.
     library, requests, budget = bundle
     assert select_greedy(
-        library, requests, budget, backend="reference"
-    ) == select_greedy(library, requests, budget, backend="numpy")
+        library, requests, budget, backend=REFERENCE
+    ) == select_greedy(library, requests, budget, backend=NUMPY)
     assert select_exhaustive(
-        library, requests, budget, backend="reference"
-    ) == select_exhaustive(library, requests, budget, backend="numpy")
+        library, requests, budget, backend=REFERENCE
+    ) == select_exhaustive(library, requests, budget, backend=NUMPY)
 
 
 @settings(max_examples=30, deadline=None)
 @given(library_and_workload())
 def test_upgrade_path_backends_agree(bundle):
     library, requests, budget = bundle
-    ref = upgrade_path(library, requests, budget, backend="reference")
-    fast = upgrade_path(library, requests, budget, backend="numpy")
+    ref = upgrade_path(library, requests, budget, backend=REFERENCE)
+    fast = upgrade_path(library, requests, budget, backend=NUMPY)
     assert ref == fast
 
 
@@ -142,14 +146,14 @@ def test_staging_cache_survives_weight_changes(bundle):
             for r in requests
         ]
         assert select_greedy(
-            library, scaled, budget, backend="reference"
-        ) == select_greedy(library, scaled, budget, backend="numpy")
+            library, scaled, budget, backend=REFERENCE
+        ) == select_greedy(library, scaled, budget, backend=NUMPY)
 
 
 class TestRuntimeTraceEquality:
     """A runtime on the numpy backend emits the reference trace, byte for byte."""
 
-    def run(self, mini_library, backend):
+    def run(self, mini_library):
         forecasts = [("SATD", 40.0), ("HT", 12.0)]
         blocks = [("SATD", 5), ("HT", 3)]
         # The long inter-block gaps let the requested rotations land, so
@@ -157,12 +161,12 @@ class TestRuntimeTraceEquality:
         return run_si_stream(
             mini_library, forecasts, blocks,
             containers=4, block_rounds=3, inter_block_cycles=200_000,
-            backend=backend,
         )
 
-    def test_traces_identical(self, mini_library):
-        ref = self.run(mini_library, "reference")
-        fast = self.run(mini_library, "numpy")
+    def test_traces_identical(self, mini_library, monkeypatch):
+        fast = self.run(mini_library)
+        monkeypatch.setattr(backend_mod, "SHIPPED", REFERENCE)
+        ref = self.run(mini_library)
         assert trace_signature(ref.trace) == trace_signature(fast.trace)
         # Sanity: the scenario actually upgraded SIs to hardware, so the
         # equality above compares selections that did real work.
@@ -172,12 +176,3 @@ class TestRuntimeTraceEquality:
             e.kind is EventKind.SI_EXECUTED and e.detail.get("mode") == "HW"
             for e in ref.trace
         )
-
-    def test_backend_default_matches_explicit(self, mini_library, monkeypatch):
-        from repro.core import backend as backend_mod
-
-        monkeypatch.setattr(backend_mod, "_default_spec", None)
-        monkeypatch.setenv(backend_mod.DEFAULT_BACKEND_ENV, "numpy")
-        via_env = self.run(mini_library, None)
-        explicit = self.run(mini_library, "numpy")
-        assert trace_signature(via_env.trace) == trace_signature(explicit.trace)

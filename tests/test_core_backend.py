@@ -1,132 +1,59 @@
-"""The pluggable ComputeBackend facade: registry, resolution, kernels."""
+"""The ComputeBackend facade: the shipped instance and the kernels."""
 
 import pytest
 
 from repro.core import (
     AtomSpace,
-    BackendUnavailableError,
     ComputeBackend,
     ForecastedSI,
     NumpyBackend,
     ReferenceBackend,
-    available_backends,
-    default_backend,
-    get_backend,
     infimum,
     resolve_backend,
     select_exhaustive,
     select_greedy,
-    set_default_backend,
     supremum,
 )
 from repro.core import backend as backend_mod
+from repro.runtime import RisppRuntime
 
 
-@pytest.fixture(autouse=True)
-def _isolated_backend_default(monkeypatch):
-    """Pin the process default to the hardcoded fallback for each test.
-
-    The suite may run under ``REPRO_BACKEND=numpy`` (the CI backend
-    matrix does exactly that); these tests exercise the resolution
-    machinery itself, so they start from a clean slate.
-    """
-    monkeypatch.setattr(backend_mod, "_default_spec", None)
-    monkeypatch.delenv(backend_mod.DEFAULT_BACKEND_ENV, raising=False)
-
-
-class TestRegistry:
-    def test_both_backends_registered(self):
-        assert set(available_backends()) == {"reference", "numpy"}
-
-    def test_instances_are_cached_singletons(self):
-        assert get_backend("reference") is get_backend("reference")
-        assert get_backend("numpy") is get_backend("numpy")
-        assert isinstance(get_backend("reference"), ReferenceBackend)
-        assert isinstance(get_backend("numpy"), NumpyBackend)
+class TestShippedInstance:
+    def test_default_is_the_shipped_numpy_instance(self):
+        assert resolve_backend() is backend_mod.SHIPPED
+        assert type(backend_mod.SHIPPED) is NumpyBackend
 
     def test_instance_specs_pass_through(self):
         mine = ReferenceBackend()
-        assert get_backend(mine) is mine
+        assert resolve_backend(mine) is mine
 
-    def test_unknown_name_lists_known_backends(self):
-        with pytest.raises(ValueError, match="numpy, reference"):
-            get_backend("cuda")
-
-    def test_non_string_spec_rejected(self):
-        with pytest.raises(ValueError):
-            get_backend(42)
-
-    def test_unavailable_backend_raises_on_construction(self, monkeypatch):
-        def refuse():
-            raise BackendUnavailableError("numpy is not installed")
-
-        monkeypatch.setattr(backend_mod, "_require_numpy", refuse)
-        monkeypatch.setattr(backend_mod, "_instances", {})
-        with pytest.raises(BackendUnavailableError):
-            get_backend("numpy")
-        # set_default_backend validates eagerly, so the failure surfaces
-        # at configuration time, not at the first selection.
-        with pytest.raises(BackendUnavailableError):
-            set_default_backend("numpy")
-
-
-class TestResolution:
-    def test_hardcoded_default_is_reference(self):
-        assert isinstance(default_backend(), ReferenceBackend)
-        assert isinstance(resolve_backend(), ReferenceBackend)
-
-    def test_env_variable_is_read_lazily(self, monkeypatch):
-        monkeypatch.setenv(backend_mod.DEFAULT_BACKEND_ENV, "numpy")
-        assert isinstance(default_backend(), NumpyBackend)
-
-    def test_invalid_env_value_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(backend_mod.DEFAULT_BACKEND_ENV, "bogus")
-        with pytest.raises(ValueError, match="bogus"):
-            default_backend()
-
-    def test_set_default_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(backend_mod.DEFAULT_BACKEND_ENV, "reference")
-        set_default_backend("numpy")
-        assert isinstance(default_backend(), NumpyBackend)
-        set_default_backend(None)  # reset -> back to the env chain
-        assert isinstance(default_backend(), ReferenceBackend)
-
-    def test_set_default_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_default_backend("bogus")
-
-    def test_library_pin_wins_over_default(self, mini_library):
-        mini_library.backend = "numpy"
-        assert isinstance(
-            resolve_backend(None, mini_library), NumpyBackend
-        )
-
-    def test_explicit_spec_wins_over_pin(self, mini_library):
-        mini_library.backend = "numpy"
-        assert isinstance(
-            resolve_backend("reference", mini_library), ReferenceBackend
-        )
-
-    def test_pinned_library_steers_selection(self, mini_library):
+    def test_unpinned_selection_runs_numpy_kernels(
+        self, mini_library, monkeypatch
+    ):
         calls = []
+        numpy_greedy = NumpyBackend.greedy_choose
 
-        class Probe(ReferenceBackend):
-            def greedy_choose(self, *a, **kw):
-                calls.append("greedy")
-                return super().greedy_choose(*a, **kw)
+        def probe(self, *args):
+            calls.append("greedy")
+            return numpy_greedy(self, *args)
 
-        mini_library.backend = Probe()
-        reqs = [ForecastedSI(mini_library.get("HT"), 10)]
-        select_greedy(mini_library, reqs, 3)
+        # Only a NumpyBackend reaches the probe: with no ``backend=``,
+        # both selection and a runtime replan must run the numpy kernels.
+        monkeypatch.setattr(NumpyBackend, "greedy_choose", probe)
+        select_greedy(mini_library, [ForecastedSI(mini_library.get("HT"), 10)], 3)
         assert calls == ["greedy"]
+        rt = RisppRuntime(mini_library, 4, core_mhz=100.0)
+        rt.forecast("SATD", 0, expected=40.0)
+        assert rt.stats.replans == 1
+        assert calls == ["greedy", "greedy"]
 
 
-BACKENDS = ["reference", "numpy"]
+KERNELS = {"reference": ReferenceBackend, "numpy": NumpyBackend}
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=KERNELS)
 def kernel(request):
-    return get_backend(request.param)
+    return KERNELS[request.param]()
 
 
 class TestBatchedKernels:
@@ -171,6 +98,8 @@ class TestBatchedKernels:
 
 
 class TestMoleculeBackendRouting:
+    """The batched kernels agree with the molecule lattice's reductions."""
+
     SPACE = AtomSpace(["A", "B", "C"])
 
     def mols(self):
@@ -180,44 +109,39 @@ class TestMoleculeBackendRouting:
             self.SPACE.molecule({"A": 1, "C": 2}),
         ]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_supremum_matches_pairwise_reduction(self, backend):
+    def test_supremum_matches_pairwise_reduction(self, kernel):
         mols = self.mols()
-        assert supremum(mols, backend=backend) == supremum(mols)
+        rows = [m.counts for m in mols]
+        assert kernel.sup(rows, 3) == supremum(mols).counts
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_infimum_matches_pairwise_reduction(self, backend):
+    def test_infimum_matches_pairwise_reduction(self, kernel):
         mols = self.mols()
-        assert infimum(mols, backend=backend) == infimum(mols)
+        rows = [m.counts for m in mols]
+        assert kernel.inf(rows) == infimum(mols).counts
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_supremum_needs_space(self, backend):
-        zero = supremum([], space=self.SPACE, backend=backend)
-        assert zero == self.SPACE.molecule({})
+    def test_empty_supremum_needs_space(self, kernel):
+        zero = supremum([], space=self.SPACE)
+        assert kernel.sup([], self.SPACE.dimension) == zero.counts
 
 
 class TestSelectionBackendArg:
     def test_greedy_accepts_backend_instances(self, mini_library):
         reqs = [ForecastedSI(mini_library.get("SATD"), 7)]
-        via_name = select_greedy(mini_library, reqs, 4, backend="numpy")
-        via_instance = select_greedy(
-            mini_library, reqs, 4, backend=NumpyBackend()
-        )
-        assert via_name == via_instance
+        shipped = select_greedy(mini_library, reqs, 4)
+        for backend in (NumpyBackend(), ReferenceBackend()):
+            assert select_greedy(mini_library, reqs, 4, backend=backend) == shipped
 
     def test_exhaustive_accepts_backend(self, mini_library):
         reqs = [
             ForecastedSI(mini_library.get("HT"), 5),
             ForecastedSI(mini_library.get("SATD"), 20),
         ]
-        ref = select_exhaustive(mini_library, reqs, 6, backend="reference")
-        fast = select_exhaustive(mini_library, reqs, 6, backend="numpy")
+        ref = select_exhaustive(mini_library, reqs, 6, backend=ReferenceBackend())
+        fast = select_exhaustive(mini_library, reqs, 6, backend=NumpyBackend())
         assert ref == fast
 
     def test_custom_backend_subclass_is_usable(self, mini_library):
         class Recording(ReferenceBackend):
-            name = "recording"
-
             def __init__(self):
                 self.exhaustive_calls = 0
 

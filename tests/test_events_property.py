@@ -5,7 +5,8 @@ the bus, and a property kept the two in step.  The trace and statistics
 digests of the seeded interleavings in ``tests/golden/digests.json``
 were recorded while both dispatchers still existed, and the
 direct-call dispatcher reproduced every one of them on both compute
-backends.  The bus is now held to those recordings.
+backends.  The bus is now held to those recordings, on the shipped
+kernels and on the reference.
 
 Alongside live the :class:`EventBus` contract tests (dispatch order,
 taxonomy enforcement, the compiled table) and the ``EVT*`` lint rules.
@@ -16,7 +17,6 @@ import pytest
 import repro.runtime.events as events_mod
 from repro.analysis import lint_events
 from repro.analysis.docs_check import _check_events_coverage
-from repro.core.backend import available_backends
 from repro.runtime.events import (
     DEFAULT_WIRING,
     EVENT_TYPES,
@@ -26,23 +26,20 @@ from repro.runtime.events import (
 )
 from tests import pins
 
-BACKENDS = [None] + (["numpy"] if "numpy" in available_backends() else [])
 INTERLEAVINGS = pins.load_digests()["interleavings"]
 
 
 class TestBusMatchesDirectDispatch:
     """Seeded interleavings reproduce the direct-dispatch recordings."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_trace_equivalence(self, backend):
+    def test_trace_equivalence(self, kernels):
         for pin in INTERLEAVINGS:
-            got = pins.interleaving_pin(pin["seed"], backend)
+            got = pins.interleaving_pin(pin["seed"])
             assert got["trace"] == pin["trace"], pin["seed"]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_stats_equivalence(self, backend):
+    def test_stats_equivalence(self, kernels):
         for pin in INTERLEAVINGS:
-            got = pins.interleaving_pin(pin["seed"], backend)
+            got = pins.interleaving_pin(pin["seed"])
             assert got["stats"] == pin["stats"], pin["seed"]
 
     def test_every_pinned_seed_is_checked(self):

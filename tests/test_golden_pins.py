@@ -1,8 +1,9 @@
 """The runtime's behaviour, held to references committed in ``tests/golden``.
 
 Every case re-runs a scenario on the current code and compares it with
-its pin: the bench suites' trace digests (each trace also replays
-cleanly through ``rispp-verify``), the full ``rispp-verify`` golden
+its pin: the bench suites' trace digests on the shipped kernels and on
+the reference (each trace also replays cleanly through
+``rispp-verify``), the full ``rispp-verify`` golden
 traces of the aes and synthetic verify scenarios.  (The seeded
 interleaving digests are checked in ``tests/test_events_property.py``.)
 A mismatch means the runtime's observable behaviour changed;
@@ -22,7 +23,7 @@ DIGESTS = pins.load_digests()
 
 @pytest.mark.parametrize("mode", ["quick", "full"])
 @pytest.mark.parametrize("suite", pins.BENCH_SUITES)
-def test_bench_suite_trace_matches_pin(suite, mode):
+def test_bench_suite_trace_matches_pin(suite, mode, kernels):
     rt = scenario_runtime(suite, quick=mode == "quick")
     assert trace_digest(rt.trace) == DIGESTS["bench"][suite][mode]
     # A pin that recorded wrong behaviour must not pass either.

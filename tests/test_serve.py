@@ -66,10 +66,16 @@ class TestScenarioRequest:
             ({"scrub_period": 0}, "scrub_period must be positive"),
             ({"max_retries": -1}, "max_retries cannot be negative"),
             ({"backoff_cycles": 0}, "backoff_cycles must be positive"),
-            ({"backend": 3}, "backend must be a string or null"),
-            ({"backend": "abacus"}, "not available here"),
+            ({"backend": "numpy"}, "unknown scenario field"),
+            ({"seed": 2.7}, "seed must be an integer"),
             ({"quick": "yes"}, "quick must be a boolean"),
             ("not a mapping", "must be a JSON object"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"max_retries": 1.5}, "max_retries must be an integer"),
+            ({"scrub_period": 10_000.0}, "scrub_period must be an integer"),
+            ({"backoff_cycles": False}, "backoff_cycles must be an integer"),
+            ({"fault_rate": True}, "fault_rate must be a number"),
+            ({"fault_rate": "5"}, "fault_rate must be a number"),
         ],
     )
     def test_junk_is_rejected(self, payload, fragment):
