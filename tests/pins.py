@@ -8,6 +8,10 @@ checked by ``tests/test_golden_pins.py``:
   suite's end-to-end scenario; and, per seeded random interleaving of
   forecasts, forecast ends, executions, container failures and idle
   advances, the digests of the trace and of the run statistics.
+  It also holds, per suite, the sha256 of the rendered quick chaos
+  report (seed 3, fault rate 50) and of the quick ``repro metrics``
+  JSONL snapshot, and the trace digest of the quick h264 verify
+  scenario.
 * ``<suite>.json`` — the full ``rispp-verify`` golden traces of the
   ``aes`` and ``synthetic`` verify scenarios.
 
@@ -29,6 +33,8 @@ from pathlib import Path
 
 from repro.analysis.verify import golden_from_runtime, run_verify_suite
 from repro.bench import scenario_runtime, trace_digest
+from repro.faults import run_chaos_suite
+from repro.obs import run_metrics_suite, to_jsonl
 from repro.runtime import RisppRuntime
 from tests.conftest import build_mini_library
 
@@ -39,6 +45,8 @@ REPO_ROOT = GOLDEN_DIR.parents[1]
 #: Verify scenarios whose whole golden trace is committed.
 GOLDEN_TRACE_SUITES = ("aes", "synthetic")
 BENCH_SUITES = ("h264", "aes", "synthetic")
+#: The pinned chaos campaign of every suite: quick, seed 3, rate 50.
+CHAOS_PIN = {"seed": 3, "quick": True, "fault_rate": 50.0}
 #: Seeds of the pinned random interleavings.
 INTERLEAVING_SEEDS = tuple(range(32))
 
@@ -126,6 +134,26 @@ def bench_pins() -> dict:
     }
 
 
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def chaos_report_text(suite: str) -> str:
+    """The pinned campaign's report, rendered as ``repro chaos --format json``."""
+    report = run_chaos_suite(suite, **CHAOS_PIN)
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+def metrics_text(suite: str) -> str:
+    """The quick ``repro metrics --format json`` snapshot of a suite."""
+    return to_jsonl(run_metrics_suite(suite, quick=True)[0])
+
+
+def verify_h264_digest() -> str:
+    """Trace digest of the quick h264 verify scenario."""
+    return trace_digest(run_verify_suite("h264", quick=True).runtime.trace)
+
+
 def golden_text(suite: str) -> str:
     """The serialised ``rispp-verify`` golden trace of a full verify run."""
     golden = golden_from_runtime(run_verify_suite(suite).runtime, suite=suite)
@@ -149,7 +177,10 @@ def write_pins() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     digests = {
         "bench": bench_pins(),
+        "chaos": {s: sha256_text(chaos_report_text(s)) for s in BENCH_SUITES},
         "interleavings": [interleaving_pin(s) for s in INTERLEAVING_SEEDS],
+        "metrics": {s: sha256_text(metrics_text(s)) for s in BENCH_SUITES},
+        "verify": {"h264": {"quick": verify_h264_digest()}},
     }
     PINS_PATH.write_text(
         json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8"

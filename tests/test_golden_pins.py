@@ -3,8 +3,9 @@
 Every case re-runs a scenario on the current code and compares it with
 its pin: the bench suites' trace digests on the shipped kernels and on
 the reference (each trace also replays cleanly through
-``rispp-verify``), the full ``rispp-verify`` golden
-traces of the aes and synthetic verify scenarios.  (The seeded
+``rispp-verify``), the rendered chaos reports and metrics snapshots of
+every suite, the quick h264 verify trace, and the full ``rispp-verify``
+golden traces of the aes and synthetic verify scenarios.  (The seeded
 interleaving digests are checked in ``tests/test_events_property.py``.)
 A mismatch means the runtime's observable behaviour changed;
 if that was deliberate, regenerate the pins (``tests/pins.py`` says
@@ -44,6 +45,22 @@ def test_trace_signature_resolves_lazy_details():
     )
     assert trace_signature(eager) == trace_signature(lazy)
     assert trace_signature(eager) != trace_signature(Trace())
+
+
+@pytest.mark.parametrize("suite", pins.BENCH_SUITES)
+def test_chaos_report_matches_pin(suite):
+    assert pins.sha256_text(pins.chaos_report_text(suite)) == \
+        DIGESTS["chaos"][suite]
+
+
+@pytest.mark.parametrize("suite", pins.BENCH_SUITES)
+def test_metrics_snapshot_matches_pin(suite):
+    assert pins.sha256_text(pins.metrics_text(suite)) == \
+        DIGESTS["metrics"][suite]
+
+
+def test_verify_h264_trace_matches_pin():
+    assert pins.verify_h264_digest() == DIGESTS["verify"]["h264"]["quick"]
 
 
 @pytest.mark.parametrize("suite", pins.GOLDEN_TRACE_SUITES)
