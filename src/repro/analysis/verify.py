@@ -36,32 +36,16 @@ if TYPE_CHECKING:
 GOLDEN_SCHEMA_VERSION = 1
 GOLDEN_KIND = "rispp-golden-trace"
 
-#: Suites the verify CLI can run end to end (also valid golden libraries).
-VERIFY_SUITES = ("aes", "h264", "synthetic")
-
 
 def build_library(name: str) -> SILibrary:
-    """The shipped library behind one suite/golden-trace name."""
-    if name == "h264":
-        from ..apps.h264 import build_h264_library
-
-        return build_h264_library()
-    if name == "aes":
-        from ..apps.aes import build_aes_library
-
-        return build_aes_library()
-    if name == "synthetic":
-        from ..bench.suites import build_synthetic_library
-
-        return build_synthetic_library()
+    """The shipped library behind one suite or explore-scope name."""
     if name.startswith("explore-"):
         from .explore import build_explore_library
 
         return build_explore_library(name)
-    raise ValueError(
-        f"unknown library {name!r}; choose from "
-        f"{sorted(VERIFY_SUITES) + ['explore-small', 'explore-tiny']}"
-    )
+    from ..bench.suites import build_library as suite_library
+
+    return suite_library(name)
 
 
 # -- trace verification -------------------------------------------------------
@@ -243,60 +227,8 @@ class VerifyResult:
         return self.report.exit_code()
 
 
-def _scenario_h264(*, quick: bool) -> "tuple[RisppRuntime, list[object]]":
-    from ..apps.h264 import build_h264_library
-    from ..bench.suites import H264_FORECASTS, H264_MACROBLOCK_CALLS, run_si_stream
-
-    runtime = run_si_stream(
-        build_h264_library(),
-        list(H264_FORECASTS),
-        list(H264_MACROBLOCK_CALLS),
-        containers=6,
-        block_rounds=3 if quick else 8,
-        energy_model=EnergyModel(),
-    )
-    for si_name, _ in H264_FORECASTS:
-        runtime.forecast_end(si_name, runtime.trace.last_cycle)
-    runtime.advance(runtime.trace.last_cycle + 10_000_000)
-    return runtime, []
-
-
-def _scenario_aes(*, quick: bool) -> "tuple[RisppRuntime, list[object]]":
-    import warnings
-
-    from ..apps.aes import (
-        build_aes_library,
-        build_aes_program,
-        default_aes_fdfs,
-    )
-    from ..sim.integration import compile_and_run
-
-    del quick  # one AES run is already CI-sized
-
-    def env_factory(i: int) -> dict[str, bytes]:
-        return {
-            "plaintext": bytes([i % 256] * 16),
-            "key": bytes([(255 - i) % 256] * 16),
-        }
-
-    with warnings.catch_warnings():
-        # Library advisories (dominated molecules etc.) belong to `lint`.
-        warnings.simplefilter("ignore")
-        flow = compile_and_run(
-            build_aes_program(),
-            build_aes_library(),
-            default_aes_fdfs(),
-            containers=6,
-            profile_env_factory=env_factory,
-            run_env={"plaintext": b"\x21" * 16, "key": b"\x42" * 16},
-            profile_runs=2,
-            energy_model=EnergyModel(),
-        )
-    flow.runtime.advance(flow.runtime.trace.last_cycle + 10_000_000)
-    return flow.runtime, list(flow.annotation.all_points())
-
-
-def _scenario_synthetic(*, quick: bool) -> "tuple[RisppRuntime, list[object]]":
+def _synthetic_scenario(*, quick: bool) -> "RisppRuntime":
+    """Verify's own synthetic run: a mid-run container failure included."""
     from ..bench.suites import build_synthetic_library
     from ..runtime.manager import RisppRuntime
 
@@ -323,15 +255,7 @@ def _scenario_synthetic(*, quick: bool) -> "tuple[RisppRuntime, list[object]]":
         # serial port) land mid-run and the SW -> HW upgrade is exercised.
         now += 60_000
     runtime.forecast_end("SI3", now)
-    runtime.advance(now + 10_000_000)
-    return runtime, []
-
-
-_SCENARIOS = {
-    "aes": _scenario_aes,
-    "h264": _scenario_h264,
-    "synthetic": _scenario_synthetic,
-}
+    return runtime
 
 
 def run_verify_suite(
@@ -341,13 +265,22 @@ def run_verify_suite(
     survivable_failures: int | None = None,
 ) -> VerifyResult:
     """Run one shipped scenario, verify its trace, prove feasibility."""
-    try:
-        scenario = _SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown verify suite {name!r}; choose from {sorted(_SCENARIOS)}"
-        ) from None
-    runtime, placements = scenario(quick=quick)
+    from ..bench.suites import run_suite
+
+    placements: list[object] = []
+    if name == "synthetic":
+        runtime = _synthetic_scenario(quick=quick)
+    else:
+        # The chaos campaign's fault-free run, with energy accounting.
+        run = run_suite(
+            name, quick=quick, sizes="chaos", energy_model=EnergyModel()
+        )
+        run.close_forecasts()
+        runtime = run.runtime
+        if run.flow is not None:
+            placements = list(run.flow.annotation.all_points())
+    # Settle: let every in-flight rotation land inside the trace.
+    runtime.advance(runtime.trace.last_cycle + 10_000_000)
     report = verify_runtime(runtime, subject=f"suite:{name}")
     feasibility = prove_feasibility(
         runtime.library,

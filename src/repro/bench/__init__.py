@@ -1,8 +1,10 @@
-"""``repro.bench`` — the pinned benchmark scenarios and their trace digests.
+"""``repro.bench`` — the suite catalogue and the trace digests that pin it.
 
-The h264, aes and synthetic scenarios whose traces
-``tests/golden/digests.json`` pins; the chaos, telemetry and verify
-suites replay the same streams.  The repository benchmark itself lives
+:mod:`repro.bench.suites` is the one place a suite is defined: the
+h264, aes and synthetic suites that the pinned scenarios
+(``tests/golden/digests.json``), ``repro chaos``, ``repro metrics``,
+``repro verify`` and ``repro serve`` all run.  A new suite is one
+catalogue entry plus its pins.  The repository benchmark itself lives
 in ``perfbench/``.
 """
 

@@ -1,25 +1,39 @@
-"""Benchmark scenarios: the SI streams and flows the repo's tools replay.
+"""The suite catalogue: the one place a suite is defined.
 
-Three scenarios cover the repo's workloads:
+Three suites cover the repo's workloads:
 
+* ``aes`` — the complete compile-then-run pipeline on the functional
+  AES program (profiling + forecast insertion dominate here).
 * ``h264`` — the paper's headline case study: a macroblock-shaped SI
   stream (256 SATD + 24 DCT + 1 HT_4x4 + 2 HT_2x2 per MB, the Fig. 7
   invocation structure) driven through :class:`RisppRuntime`.
-* ``aes`` — the complete compile-then-run pipeline on the functional
-  AES program (profiling + forecast insertion dominate here).
 * ``synthetic`` — a small generated library; fast enough for quick
   runs while exercising the same code paths.
 
-``tests/golden/digests.json`` pins each scenario's trace digest; the
-chaos, telemetry and verify suites drive the same streams.
+The pinned bench scenarios, ``repro chaos``, ``repro metrics``,
+``repro verify`` and ``repro serve`` all read :data:`SUITES` and run a
+suite through :func:`run_suite`; only the scenario sizes (the per-tool
+:class:`Rounds` of each stream) and each tool's closing steps differ.
+Adding a stream suite is one :data:`STREAM_SUITES` entry plus its pins
+in ``tests/golden/digests.json``.
 """
 
 from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from ..core.atom import AtomCatalogue, AtomKind
 from ..core.library import SILibrary
 from ..core.si import MoleculeImpl, SpecialInstruction
 from ..runtime.manager import RisppRuntime
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..faults.injector import FaultInjector
+    from ..hardware.energy import EnergyModel
+    from ..obs import MetricRegistry
+    from ..sim.integration import CompileAndRunResult
 
 #: Fig. 7 invocation structure: SI calls of one encoded macroblock.
 H264_MACROBLOCK_CALLS = (
@@ -81,60 +95,36 @@ def run_si_stream(
     return rt
 
 
-def h264_scenario(library: SILibrary, *, quick: bool) -> RisppRuntime:
-    """The h264 suite's end-to-end run: a 6- or 40-macroblock SI stream."""
-    return run_si_stream(
-        library, list(H264_FORECASTS), list(H264_MACROBLOCK_CALLS),
-        containers=6, block_rounds=6 if quick else 40,
-    )
+# -- the catalogue ------------------------------------------------------------
 
 
-def aes_flow(library: SILibrary):
-    """The aes suite's end-to-end run: the whole compile-then-run flow."""
-    from ..apps.aes import build_aes_program, default_aes_fdfs
-    from ..sim.integration import compile_and_run
+class Rounds(NamedTuple):
+    """Block rounds of a stream scenario in quick (CI) and full mode."""
 
-    return compile_and_run(
-        build_aes_program(),
-        library,
-        default_aes_fdfs(),
-        containers=6,
-        profile_env_factory=lambda i: {
-            "plaintext": bytes([i % 256] * 16),
-            "key": bytes([(255 - i) % 256] * 16),
-        },
-        run_env={"plaintext": b"\x21" * 16, "key": b"\x42" * 16},
-        profile_runs=2,
-    )
+    quick: int
+    full: int
 
 
-def synthetic_scenario(library: SILibrary, *, quick: bool) -> RisppRuntime:
-    """The synthetic suite's end-to-end run: a 10- or 60-round SI stream."""
-    return run_si_stream(
-        library, list(SYNTHETIC_FORECASTS), list(SYNTHETIC_BLOCKS),
-        containers=5, block_rounds=10 if quick else 60,
-    )
+@dataclass(frozen=True)
+class StreamSuite:
+    """A suite that replays loop-head forecasts and an SI stream.
 
-
-def scenario_runtime(suite: str, *, quick: bool) -> RisppRuntime:
-    """Run one suite's end-to-end scenario on a fresh library.
-
-    This is the run whose trace digest ``tests/golden/digests.json``
-    pins per suite and mode.
+    ``rounds`` maps each tool (``bench``, ``chaos`` — also verify's
+    size — and ``metrics``) to its scenario size; the committed pins
+    fix every one of them.
     """
-    if suite == "h264":
-        from ..apps.h264 import build_h264_library
 
-        return h264_scenario(build_h264_library(), quick=quick)
-    if suite == "aes":
-        from ..apps.aes import build_aes_library
+    build_library: Callable[[], SILibrary]
+    forecasts: tuple[tuple[str, float], ...]
+    blocks: tuple[tuple[str, int], ...]
+    containers: int
+    rounds: dict[str, Rounds]
 
-        return aes_flow(build_aes_library()).runtime
-    if suite == "synthetic":
-        return synthetic_scenario(build_synthetic_library(), quick=quick)
-    raise ValueError(
-        f"unknown bench suite {suite!r}; choose from h264, aes, synthetic"
-    )
+
+def _h264_library() -> SILibrary:
+    from ..apps.h264 import build_h264_library
+
+    return build_h264_library()
 
 
 def build_synthetic_library(
@@ -164,3 +154,148 @@ def build_synthetic_library(
             )
         )
     return SILibrary(catalogue, instructions)
+
+
+STREAM_SUITES: dict[str, StreamSuite] = {
+    "h264": StreamSuite(
+        _h264_library, H264_FORECASTS, H264_MACROBLOCK_CALLS, containers=6,
+        rounds={
+            "bench": Rounds(6, 40), "chaos": Rounds(3, 8),
+            "metrics": Rounds(4, 16),
+        },
+    ),
+    "synthetic": StreamSuite(
+        build_synthetic_library, SYNTHETIC_FORECASTS, SYNTHETIC_BLOCKS,
+        containers=5,
+        rounds={
+            "bench": Rounds(10, 60), "chaos": Rounds(6, 20),
+            "metrics": Rounds(5, 20),
+        },
+    ),
+}
+#: Every suite name the tools accept.
+SUITES = ("aes", *STREAM_SUITES)
+
+
+def check_suite(name: str) -> str:
+    """Return ``name`` if it is a known suite; raise ``ValueError`` if not."""
+    if name not in SUITES:
+        raise ValueError(
+            f"unknown suite {name!r}; choose from {', '.join(SUITES)}"
+        )
+    return name
+
+
+def build_library(name: str) -> SILibrary:
+    """A fresh copy of one suite's SI library."""
+    if check_suite(name) == "aes":
+        from ..apps.aes import build_aes_library
+
+        return build_aes_library()
+    return STREAM_SUITES[name].build_library()
+
+
+def aes_flow(
+    library: SILibrary,
+    *,
+    energy_model: "EnergyModel | None" = None,
+    fault_injector: "FaultInjector | None" = None,
+    metrics: "MetricRegistry | None" = None,
+    wrap: "Callable[[RisppRuntime], Any] | None" = None,
+) -> "CompileAndRunResult":
+    """The aes suite's run: the whole compile-then-run flow."""
+    from ..apps.aes import build_aes_program, default_aes_fdfs
+    from ..sim.integration import compile_and_run
+
+    with warnings.catch_warnings():
+        # Library advisories (dominated molecules etc.) belong to `lint`.
+        warnings.simplefilter("ignore")
+        return compile_and_run(
+            build_aes_program(),
+            library,
+            default_aes_fdfs(),
+            containers=6,
+            profile_env_factory=lambda i: {
+                "plaintext": bytes([i % 256] * 16),
+                "key": bytes([(255 - i) % 256] * 16),
+            },
+            run_env={"plaintext": b"\x21" * 16, "key": b"\x42" * 16},
+            profile_runs=2,
+            energy_model=energy_model,
+            fault_injector=fault_injector,
+            metrics=metrics,
+            wrap=wrap,
+        )
+
+
+@dataclass
+class SuiteRun:
+    """One finished suite run and what the tools read back from it."""
+
+    runtime: RisppRuntime
+    #: The stream's loop-head forecasts, still open (none for aes).
+    forecasts: tuple[tuple[str, float], ...] = ()
+    #: The compile-then-run result of the aes flow.
+    flow: "CompileAndRunResult | None" = None
+
+    @property
+    def outcome(self) -> Any:
+        """What a faulted run must reproduce to match the fault-free one.
+
+        The aes flow's output environment (the ciphertext); a stream
+        carries no data, so every SI call completing is the outcome.
+        """
+        if self.flow is not None:
+            return self.flow.result.env
+        return self.runtime.stats.si_executions
+
+    def close_forecasts(self) -> None:
+        """End the stream's loop-head forecasts at its last traced cycle."""
+        if not self.forecasts:
+            return
+        from ..recovery import query
+
+        # Journaled state query: on a resumed run the underlying runtime
+        # is already past this point, so the answer comes from the journal.
+        end = query(self.runtime, "last_cycle")
+        for si_name, _ in self.forecasts:
+            self.runtime.forecast_end(si_name, end)
+
+
+def run_suite(
+    name: str,
+    *,
+    quick: bool,
+    sizes: str = "bench",
+    library: SILibrary | None = None,
+    **hooks: Any,
+) -> SuiteRun:
+    """Run one suite on ``library`` (a fresh one by default).
+
+    ``sizes`` names the tool whose stream :class:`Rounds` apply; the aes
+    flow has one size.  ``hooks`` (``energy_model``, ``fault_injector``,
+    ``metrics``, ``wrap``) reach the runtime unchanged.
+    """
+    if library is None:
+        library = build_library(name)
+    if name == "aes":
+        flow = aes_flow(library, **hooks)
+        return SuiteRun(flow.runtime, flow=flow)
+    stream = STREAM_SUITES[name]
+    rounds = stream.rounds[sizes]
+    runtime = run_si_stream(
+        library, list(stream.forecasts), list(stream.blocks),
+        containers=stream.containers,
+        block_rounds=rounds.quick if quick else rounds.full,
+        **hooks,
+    )
+    return SuiteRun(runtime, forecasts=stream.forecasts)
+
+
+def scenario_runtime(suite: str, *, quick: bool) -> RisppRuntime:
+    """Run one suite's pinned bench scenario on a fresh library.
+
+    This is the run whose trace digest ``tests/golden/digests.json``
+    pins per suite and mode.
+    """
+    return run_suite(suite, quick=quick).runtime

@@ -326,7 +326,8 @@ def _verify(argv: list[str]) -> int:
         run_verify_suite,
         verify_golden_result,
     )
-    from .analysis.verify import VERIFY_SUITES, golden_from_runtime, write_golden
+    from .analysis.verify import golden_from_runtime, write_golden
+    from .bench.suites import SUITES
 
     parser = argparse.ArgumentParser(
         prog="repro verify",
@@ -344,7 +345,7 @@ def _verify(argv: list[str]) -> int:
         help="verify a golden-trace JSON file instead of running a suite",
     )
     source.add_argument(
-        "--suite", choices=sorted(VERIFY_SUITES), default="synthetic",
+        "--suite", choices=SUITES, default="synthetic",
         help="run + verify one shipped scenario (default: synthetic)",
     )
     parser.add_argument(
@@ -504,8 +505,9 @@ def _chaos(argv: list[str]) -> int:
     import os
     from pathlib import Path
 
+    from .bench.suites import SUITES
     from .faults import (
-        CHAOS_SUITES,
+        CHAOS_DEFAULTS,
         chaos_ok,
         render_chaos_report,
         run_chaos_suite,
@@ -524,30 +526,34 @@ def _chaos(argv: list[str]) -> int:
             "after a crash (--resume) to the byte-identical report."
         ),
     )
-    parser.add_argument(
-        "--suite", choices=sorted(CHAOS_SUITES), default=None,
-        help="workload to fuzz (default: synthetic)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="fault-schedule seed, positive (default: 1)",
-    )
-    parser.add_argument(
-        "--fault-rate", type=float, default=None, metavar="R",
-        help="expected faults per million cycles (default: 5.0)",
-    )
-    parser.add_argument(
-        "--scrub-period", type=int, default=None, metavar="CYCLES",
-        help="readback-scrubber pass period (default: 10000)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
-        help="bitstream write retries before giving up (default: 3)",
-    )
-    parser.add_argument(
-        "--backoff-cycles", type=int, default=None, metavar="CYCLES",
-        help="base retry backoff; doubles per attempt (default: 1000)",
-    )
+    # The scenario flags, one per CHAOS_DEFAULTS key (their dest).
+    # Unset flags stay None so --resume can tell which were given.
+    scenario_flags: dict[
+        str, tuple[str, Callable[[str], object], str | None, str]
+    ] = {
+        "suite": ("--suite", str, None, "workload to fuzz"),
+        "seed": ("--seed", int, "N", "fault-schedule seed, positive"),
+        "fault_rate": (
+            "--fault-rate", float, "R", "expected faults per million cycles"
+        ),
+        "scrub_period": (
+            "--scrub-period", int, "CYCLES", "readback-scrubber pass period"
+        ),
+        "max_retries": (
+            "--max-retries", int, "N",
+            "bitstream write retries before giving up",
+        ),
+        "backoff_cycles": (
+            "--backoff-cycles", int, "CYCLES",
+            "base retry backoff; doubles per attempt",
+        ),
+    }
+    for key, (flag, kind, metavar, text) in scenario_flags.items():
+        parser.add_argument(
+            flag, type=kind, default=None, metavar=metavar,
+            choices=SUITES if key == "suite" else None,
+            help=f"{text} (default: {CHAOS_DEFAULTS[key]})",
+        )
     parser.add_argument(
         "--quick", action="store_true",
         help="reduced scenario sizes (CI mode)",
@@ -618,15 +624,8 @@ def _chaos(argv: list[str]) -> int:
     if resume:
         conflicting = [
             flag
-            for flag, value in (
-                ("--suite", args.suite),
-                ("--seed", args.seed),
-                ("--fault-rate", args.fault_rate),
-                ("--scrub-period", args.scrub_period),
-                ("--max-retries", args.max_retries),
-                ("--backoff-cycles", args.backoff_cycles),
-            )
-            if value is not None
+            for key, (flag, *_) in scenario_flags.items()
+            if getattr(args, key) is not None
         ]
         if args.quick:
             conflicting.append("--quick")
@@ -651,27 +650,22 @@ def _chaos(argv: list[str]) -> int:
         if not isinstance(meta, dict) or meta.get("kind") != CHAOS_RUN_KIND:
             parser.error(f"{meta_path} is not a chaos run-metadata file")
         try:
-            suite = str(meta["suite"])
-            seed = int(meta["seed"])
-            fault_rate = float(meta["fault_rate"])
+            # Each field is read back as the type of its default.
+            knobs = {
+                key: type(default)(meta[key])
+                for key, default in CHAOS_DEFAULTS.items()
+            }
             quick = bool(meta["quick"])
-            scrub_period = int(meta["scrub_period"])
-            max_retries = int(meta["max_retries"])
-            backoff_cycles = int(meta["backoff_cycles"])
         except (KeyError, TypeError, ValueError) as exc:
             parser.error(f"run metadata {meta_path} is incomplete: {exc!r}")
     else:
-        suite = args.suite if args.suite is not None else "synthetic"
-        seed = args.seed if args.seed is not None else 1
-        fault_rate = args.fault_rate if args.fault_rate is not None else 5.0
+        knobs = {
+            key: default if getattr(args, key) is None else getattr(args, key)
+            for key, default in CHAOS_DEFAULTS.items()
+        }
         quick = args.quick
-        scrub_period = (
-            args.scrub_period if args.scrub_period is not None else 10_000
-        )
-        max_retries = args.max_retries if args.max_retries is not None else 3
-        backoff_cycles = (
-            args.backoff_cycles if args.backoff_cycles is not None else 1_000
-        )
+    suite = knobs.pop("suite")
+    fault_rate, seed = knobs["fault_rate"], knobs["seed"]
 
     if not math.isfinite(fault_rate) or fault_rate < 0:
         parser.error(
@@ -698,12 +692,8 @@ def _chaos(argv: list[str]) -> int:
                 "kind": CHAOS_RUN_KIND,
                 "schema_version": 1,
                 "suite": suite,
-                "seed": seed,
-                "fault_rate": fault_rate,
                 "quick": quick,
-                "scrub_period": scrub_period,
-                "max_retries": max_retries,
-                "backoff_cycles": backoff_cycles,
+                **knobs,
             }
             (store / CHAOS_RUN_META).write_text(
                 json.dumps(meta, indent=2, sort_keys=True) + "\n",
@@ -712,14 +702,7 @@ def _chaos(argv: list[str]) -> int:
 
     try:
         report = run_chaos_suite(
-            suite,
-            seed=seed,
-            fault_rate=fault_rate,
-            quick=quick,
-            scrub_period=scrub_period,
-            max_retries=max_retries,
-            backoff_cycles=backoff_cycles,
-            recovery=recovery,
+            suite, quick=quick, recovery=recovery, **knobs
         )
     except SimulatedCrash as exc:
         print(f"chaos: {exc}", file=sys.stderr)
@@ -742,7 +725,8 @@ def _chaos(argv: list[str]) -> int:
 
 
 def _metrics(argv: list[str]) -> int:
-    from .obs import METRIC_SUITES, run_metrics_suite, to_jsonl, to_prometheus
+    from .bench.suites import SUITES
+    from .obs import run_metrics_suite, to_jsonl, to_prometheus
 
     parser = argparse.ArgumentParser(
         prog="repro metrics",
@@ -753,7 +737,7 @@ def _metrics(argv: list[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--suite", choices=sorted(METRIC_SUITES), default="synthetic",
+        "--suite", choices=SUITES, default="synthetic",
         help="workload to instrument (default: synthetic)",
     )
     parser.add_argument(

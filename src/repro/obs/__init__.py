@@ -47,13 +47,12 @@ from .registry import (
     MetricRegistry,
     NullInstrument,
 )
-from .suites import METRIC_SUITES, run_metrics_suite
+from .suites import run_metrics_suite
 
 __all__ = [
     "CYCLE_BUCKETS",
     "DISABLED",
     "METRICS",
-    "METRIC_SUITES",
     "NAMESPACE",
     "NULL",
     "SNAPSHOT_KIND",

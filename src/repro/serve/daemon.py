@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 import threading
+from concurrent.futures.process import BrokenProcessPool
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from .facade import RuntimeFacade, ScenarioError
+from .facade import RuntimeFacade, ScenarioError, decode_payload
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8321
@@ -153,14 +154,14 @@ class _Handler(BaseHTTPRequestHandler):
             return
         raw = self.rfile.read(length)
         try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._send_error(400, f"request body is not JSON: {exc}")
-            return
-        try:
-            body = self.server.facade.run(payload)
+            body = self.server.facade.run(decode_payload(raw))
         except ScenarioError as exc:
             self._send_error(400, str(exc))
+            return
+        except BrokenProcessPool:
+            self._send_error(
+                503, "scenario worker crashed twice running this request"
+            )
             return
         except RuntimeError:
             self._send_error(503, "service is shutting down")

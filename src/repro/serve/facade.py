@@ -18,9 +18,13 @@ byte-identical responses for the same request.
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Mapping
+
+from ..faults.chaos import CHAOS_DEFAULTS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricRegistry
@@ -30,20 +34,22 @@ class ScenarioError(ValueError):
     """A scenario payload failed validation (HTTP 400 at the daemon)."""
 
 
-#: Scenario field defaults — one source of truth shared by the request
-#: validator, ``docs/serving.md`` and the serve integration tests.
-#: They mirror the ``repro chaos`` flag defaults except ``quick``: a
-#: *service* answers interactively, so reduced scenario sizes are the
-#: default and full-size runs are opt-in (``"quick": false``).
-SCENARIO_DEFAULTS: dict[str, Any] = {
-    "suite": "synthetic",
-    "seed": 1,
-    "fault_rate": 5.0,
-    "scrub_period": 10_000,
-    "max_retries": 3,
-    "backoff_cycles": 1_000,
-    "quick": True,
-}
+#: Scenario field defaults — shared by the request validator,
+#: ``docs/serving.md`` and the serve integration tests.  They are the
+#: ``repro chaos`` defaults except ``quick``: a *service* answers
+#: interactively, so reduced scenario sizes are the default and
+#: full-size runs are opt-in (``"quick": false``).
+SCENARIO_DEFAULTS: dict[str, Any] = {**CHAOS_DEFAULTS, "quick": True}
+
+
+def decode_payload(raw: bytes) -> Any:
+    """Parse a request body as JSON; raise :class:`ScenarioError` if not."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, malformed JSON and integer
+        # literals past the interpreter's digit limit.
+        raise ScenarioError(f"request body is not JSON: {exc}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +69,7 @@ class ScenarioRequest:
         """Validate a JSON payload; raise :class:`ScenarioError` on junk."""
         import math
 
-        from ..faults import CHAOS_SUITES
+        from ..bench.suites import check_suite
 
         if not isinstance(payload, Mapping):
             raise ScenarioError("scenario request must be a JSON object")
@@ -76,10 +82,10 @@ class ScenarioRequest:
             )
         merged = {**SCENARIO_DEFAULTS, **dict(payload)}
         suite = merged["suite"]
-        if suite not in CHAOS_SUITES:
-            raise ScenarioError(
-                f"unknown suite {suite!r}; one of {sorted(CHAOS_SUITES)}"
-            )
+        try:
+            check_suite(suite)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
         # JSON integers only: an integral float or a bool (an int
         # subclass) is junk, as it is to the CLI's ``type=int`` flags.
         for name in ("seed", "scrub_period", "max_retries", "backoff_cycles"):
@@ -97,7 +103,13 @@ class ScenarioRequest:
                 f"malformed scenario field: fault_rate must be a number, "
                 f"got {fault_rate!r}"
             )
-        fault_rate = float(fault_rate)
+        try:
+            fault_rate = float(fault_rate)
+        except OverflowError:
+            raise ScenarioError(
+                "fault_rate must be finite and non-negative, got an "
+                "integer too large for a float"
+            ) from None
         seed = merged["seed"]
         scrub_period = merged["scrub_period"]
         max_retries = merged["max_retries"]
@@ -187,6 +199,7 @@ class RuntimeFacade:
         self._pool: ProcessPoolExecutor | None = ProcessPoolExecutor(
             max_workers=workers
         )
+        self._pool_lock = threading.Lock()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -196,9 +209,22 @@ class RuntimeFacade:
 
     def shutdown(self) -> None:
         """Drain and release the pool; idempotent."""
-        pool, self._pool = self._pool, None
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
+
+    def _replace_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Swap a pool whose worker died for a fresh one.
+
+        Only the first request thread to see ``broken`` replaces it, and
+        a facade that is shutting down stays shut down.
+        """
+        with self._pool_lock:
+            if self._pool is not broken:
+                return
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        broken.shutdown(wait=False)
 
     def __enter__(self) -> "RuntimeFacade":
         return self
@@ -216,18 +242,39 @@ class RuntimeFacade:
         without burning a worker.
         """
         request = ScenarioRequest.from_payload(payload)
+        return self._live_pool().submit(_pool_run, request.to_payload())
+
+    def _live_pool(self) -> ProcessPoolExecutor:
         pool = self._pool
         if pool is None:
             raise RuntimeError("facade is shut down")
-        return pool.submit(_pool_run, request.to_payload())
+        return pool
+
+    def _run_with_retry(self, payload: Mapping[str, Any]) -> str:
+        request = ScenarioRequest.from_payload(payload).to_payload()
+        pool = self._live_pool()
+        try:
+            return pool.submit(_pool_run, request).result()
+        except BrokenProcessPool:
+            # A worker died (OOM kill, SIGKILL) and took the pool with
+            # it.  Scenarios are deterministic, so one retry on a fresh
+            # pool yields the bytes the first try would have; a second
+            # crash propagates.
+            self._replace_pool(pool)
+            return self._live_pool().submit(_pool_run, request).result()
 
     def run(self, payload: Mapping[str, Any]) -> str:
-        """Run one scenario to completion; returns the rendered report."""
+        """Run one scenario to completion; returns the rendered report.
+
+        A pool broken by a dead worker is replaced and the scenario
+        retried once; if that run breaks the pool again,
+        :class:`~concurrent.futures.process.BrokenProcessPool` raises.
+        """
         from ..obs import clock
 
         started = clock.perf_counter()
         try:
-            result = self.submit(payload).result()
+            result = self._run_with_retry(payload)
         except ScenarioError:
             raise
         except Exception:

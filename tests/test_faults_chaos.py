@@ -11,8 +11,9 @@ import json
 
 import pytest
 
+from repro.bench.suites import SUITES
 from repro.cli import main
-from repro.faults import CHAOS_SUITES, chaos_ok, run_chaos_suite
+from repro.faults import chaos_ok, run_chaos_suite
 from repro.faults.chaos import render_chaos_report
 
 
@@ -23,11 +24,11 @@ def synthetic_report():
 
 class TestChaosDriver:
     def test_unknown_suite_rejected(self):
-        with pytest.raises(ValueError, match="unknown chaos suite"):
+        with pytest.raises(ValueError, match="unknown suite 'mp3'"):
             run_chaos_suite("mp3", seed=0)
 
     def test_suite_list_matches_verifier(self):
-        assert CHAOS_SUITES == ("aes", "h264", "synthetic")
+        assert SUITES == ("aes", "h264", "synthetic")
 
     def test_report_schema(self, synthetic_report):
         report = synthetic_report

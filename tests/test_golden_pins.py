@@ -32,7 +32,7 @@ def test_bench_suite_trace_matches_pin(suite, mode, kernels):
 
 
 def test_unknown_bench_suite_rejected():
-    with pytest.raises(ValueError, match="unknown bench suite 'mp3'"):
+    with pytest.raises(ValueError, match="unknown suite 'mp3'"):
         scenario_runtime("mp3", quick=True)
 
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.analysis import verify_runtime
 from repro.apps.h264 import build_h264_library
 from repro.bench import trace_digest
-from repro.bench.suites import h264_scenario
+from repro.bench.suites import run_suite
 from repro.core import select_greedy
 from repro.hardware import Fabric, ReconfigurationPort
 from repro.runtime import RisppRuntime
@@ -188,7 +188,7 @@ class TestFabricGenerationCache:
 
 class TestOptimizedRuntimeEquivalence:
     def test_h264_stream_traces_identical(self, library):
-        rt = h264_scenario(library, quick=True)
+        rt = run_suite("h264", quick=True, library=library).runtime
         # Identical to the pin recorded while the uncached runtime
         # still produced the same trace.
         assert trace_digest(rt.trace) == pins.pinned_digest("h264", quick=True)

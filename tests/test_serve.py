@@ -11,12 +11,18 @@ validation codes and the metrics endpoint without subprocess overhead.
 
 import http.client
 import json
+import os
+import signal
 import threading
 import urllib.error
 import urllib.request
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bench.suites import SUITES
 from repro.faults import run_chaos_suite
 from repro.obs import MetricRegistry, parse_prometheus, to_prometheus
 from repro.serve import (
@@ -28,6 +34,7 @@ from repro.serve import (
     render_scenario,
 )
 from repro.serve.daemon import ScenarioServer
+from repro.serve.facade import decode_payload
 
 
 def expected_render(**overrides) -> str:
@@ -76,11 +83,58 @@ class TestScenarioRequest:
             ({"backoff_cycles": False}, "backoff_cycles must be an integer"),
             ({"fault_rate": True}, "fault_rate must be a number"),
             ({"fault_rate": "5"}, "fault_rate must be a number"),
+            ({"fault_rate": 10**400}, "too large for a float"),
         ],
     )
     def test_junk_is_rejected(self, payload, fragment):
         with pytest.raises(ScenarioError, match=fragment):
             ScenarioRequest.from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "raw, fragment",
+        [
+            (b'{"seed": ' + b"1" * 4301 + b"}", "not JSON: Exceeds the limit"),
+            (b"\xff", "not JSON"),
+            (b"[" * 100_000, "not JSON"),
+        ],
+    )
+    def test_undecodable_body_is_rejected(self, raw, fragment):
+        with pytest.raises(ScenarioError, match=fragment):
+            decode_payload(raw)
+
+
+#: JSON values, as ``json.loads`` produces them.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8)
+    | st.sampled_from(SUITES),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+FIELD_NAMES = st.sampled_from(
+    [*SCENARIO_DEFAULTS, "backend", "flux_capacitor"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    payload=st.dictionaries(FIELD_NAMES, JSON_VALUES, max_size=7)
+    | JSON_VALUES
+)
+def test_payload_round_trips_or_raises_scenario_error(payload):
+    """Any JSON-shaped payload validates cleanly or fails typed."""
+    try:
+        request = ScenarioRequest.from_payload(payload)
+    except ScenarioError:
+        return
+    assert ScenarioRequest.from_payload(request.to_payload()) == request
+    expected = {**SCENARIO_DEFAULTS, **payload}
+    expected["fault_rate"] = float(expected["fault_rate"])
+    assert request.to_payload() == expected
 
 
 class TestRuntimeFacade:
@@ -111,6 +165,32 @@ class TestRuntimeFacade:
         with RuntimeFacade(workers=1) as facade:
             with pytest.raises(ScenarioError, match="seed must be positive"):
                 facade.run({"seed": -4})
+
+    def test_pool_broken_twice_raises_after_one_replacement(
+        self, monkeypatch
+    ):
+        pools = []
+
+        class CrashingPool:
+            def __init__(self, max_workers):
+                pools.append(self)
+
+            def submit(self, fn, *args):
+                raise BrokenProcessPool("a worker died")
+
+            def shutdown(self, wait=True):
+                pass
+
+        monkeypatch.setattr(
+            "repro.serve.facade.ProcessPoolExecutor", CrashingPool
+        )
+        registry = MetricRegistry()
+        with RuntimeFacade(workers=1, metrics=registry) as facade:
+            with pytest.raises(BrokenProcessPool):
+                facade.run({"seed": 3})
+            assert len(pools) == 2
+            assert facade.ready()
+        assert 'outcome="error"' in to_prometheus(registry)
 
     def test_submit_after_shutdown_is_refused(self):
         facade = RuntimeFacade(workers=1)
@@ -208,6 +288,8 @@ class TestDaemonEndpoints:
         [
             (b"", 400, "needs a JSON body"),
             (b"not json", 400, "not JSON"),
+            (b'{"seed": ' + b"7" * 4301 + b"}", 400, "not JSON"),
+            (b'{"fault_rate": ' + b"9" * 400 + b"}", 400, "too large"),
             (b'{"seed": 0}', 400, "seed must be positive"),
             (b'{"flux": 1}', 400, "unknown scenario field"),
         ],
@@ -265,6 +347,70 @@ class TestDaemonEndpoints:
                     base, path, json.dumps({"seed": 2}).encode()
                 )
             assert status == 200, f"{method} {path} -> {status}"
+
+
+def test_killed_worker_is_replaced_transparently():
+    server = ScenarioServer("127.0.0.1", 0, workers=2)
+    thread = threading.Thread(target=server.serve_until_stopped, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    base = f"http://{host}:{port}"
+    body = json.dumps({"seed": 3}).encode()
+    try:
+        status, before = _post(base, "/scenario", body)
+        assert status == 200
+        pool = server.facade._pool
+        workers = list(pool._processes.values())
+        assert workers
+        for worker in workers:
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        assert _get(base, "/readyz") == (200, "ready\n")
+        # Concurrent requests all meet the broken pool; the first one
+        # replaces it and every one is answered from the new pool.
+        results = {}
+
+        def post(slot):
+            results[slot] = _post(base, "/scenario", body)
+
+        posters = [
+            threading.Thread(target=post, args=(slot,)) for slot in range(3)
+        ]
+        for poster in posters:
+            poster.start()
+        for poster in posters:
+            poster.join(timeout=120)
+            assert not poster.is_alive()
+        assert all(
+            got == (200, expected_render(seed=3)) for got in results.values()
+        )
+        assert before == expected_render(seed=3)
+        assert server.facade._pool is not pool
+    finally:
+        server.stop_requested.set()
+        thread.join(timeout=30)
+        server.server_close()
+
+
+def test_repeated_worker_crash_answers_503(monkeypatch):
+    server = ScenarioServer("127.0.0.1", 0, workers=1)
+
+    def crash(payload):
+        raise BrokenProcessPool("a worker died")
+
+    monkeypatch.setattr(server.facade, "run", crash)
+    thread = threading.Thread(target=server.serve_until_stopped, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        status, body = _post(f"http://{host}:{port}", "/scenario", b"{}")
+        assert status == 503
+        assert "worker crashed" in json.loads(body)["error"]
+    finally:
+        server.stop_requested.set()
+        thread.join(timeout=30)
+        server.server_close()
 
 
 def test_shutdown_endpoint_drains_and_stops():
