@@ -17,7 +17,10 @@ references drift from the code:
   no phantom endpoints;
 * the README CLI table against :data:`repro.cli.TOOL_COMMANDS` — every
   tool has a row, every row names a real tool, and every ``--flag`` a
-  row shows exists in that tool's ``--help``.
+  row shows exists in that tool's ``--help``;
+* ``EXPERIMENTS.md`` against the paper-artifact catalogue
+  :data:`repro.reporting.paper.PAPER` — every artifact is named there as
+  ```repro <name>```, and every artifact named there exists.
 
 Fenced code blocks are skipped for the rule-ID and metric-name checks:
 examples there may legitimately show invalid IDs (e.g. the "unknown
@@ -477,6 +480,60 @@ def _check_cli_surface(root: Path) -> list[Finding]:
     return findings
 
 
+#: A paper-artifact reference in EXPERIMENTS.md: ```repro <name>```.
+_ARTIFACT_REF = re.compile(r"`repro ([A-Za-z0-9_-]+)`")
+
+
+def _check_experiments_coverage(root: Path) -> list[Finding]:
+    """``EXPERIMENTS.md`` ↔ :data:`repro.reporting.paper.PAPER`, both ways.
+
+    Forward: every catalogue artifact is named in the doc as
+    ```repro <name>```.  Reverse: every artifact the doc names that way
+    is a catalogue entry (``list``/``all`` and the tools excepted).
+    """
+    from ..cli import TOOL_COMMANDS
+    from ..reporting.paper import PAPER
+
+    doc = root / "EXPERIMENTS.md"
+    rel = "EXPERIMENTS.md"
+    if not doc.exists():
+        return [
+            Finding(
+                rel, 1,
+                "EXPERIMENTS.md is missing; it must state the acceptance "
+                f"criteria of the {len(PAPER)} paper artifacts",
+            )
+        ]
+    findings: list[Finding] = []
+    named: set[str] = set()
+    for number, line, fenced in _iter_lines(doc):
+        if fenced:
+            continue
+        for match in _ARTIFACT_REF.finditer(line):
+            name = match.group(1)
+            if name in _CLI_EXTRAS or name in TOOL_COMMANDS:
+                continue
+            named.add(name)
+            if name not in PAPER:
+                findings.append(
+                    Finding(
+                        rel, number,
+                        f"unknown paper artifact {name!r}; the catalogue "
+                        "is repro.reporting.paper.PAPER",
+                    )
+                )
+    for name in PAPER:
+        if name not in named:
+            findings.append(
+                Finding(
+                    rel, 1,
+                    f"paper artifact {name!r} is not named in "
+                    f"EXPERIMENTS.md (as `repro {name}`)",
+                )
+            )
+    return findings
+
+
 def check_docs(root: Path) -> list[Finding]:
     """All documentation findings for the repository at ``root``."""
     from .registry import RULES
@@ -494,6 +551,7 @@ def check_docs(root: Path) -> list[Finding]:
     findings.extend(_check_events_coverage(root))
     findings.extend(_check_serving_coverage(root))
     findings.extend(_check_cli_surface(root))
+    findings.extend(_check_experiments_coverage(root))
     return findings
 
 

@@ -19,9 +19,10 @@ static prover (:mod:`.feasibility`) to the rest of the repository:
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
-from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from ..core.library import SILibrary
 from ..hardware.energy import EnergyModel
@@ -151,7 +152,48 @@ def load_golden(path: str) -> GoldenTrace:
     return golden_from_dict(data)
 
 
-def golden_from_dict(data: "dict[str, object]") -> GoldenTrace:
+_T = TypeVar("_T")
+
+
+def _field(data: "dict[str, object]", key: str, where: str) -> object:
+    if key not in data:
+        raise ValueError(f"golden-trace {where} lacks {key!r}")
+    return data[key]
+
+
+def _convert(convert: "Callable[[Any], _T]", value: object, field: str) -> _T:
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"golden-trace field {field!r} is invalid ({exc})"
+        ) from exc
+
+
+def _golden_event(raw: object, index: int) -> Event:
+    where = f"events[{index}]"
+    if not isinstance(raw, dict):
+        raise ValueError(f"golden-trace {where} is not a JSON object")
+    detail = raw.get("detail")
+    return Event(
+        _convert(int, _field(raw, "cycle", where), f"{where}.cycle"),
+        _convert(EventKind, _field(raw, "kind", where), f"{where}.kind"),
+        str(raw.get("task", "")),
+        str(raw.get("si", "")),
+        _convert(dict, detail, f"{where}.detail") if detail else None,
+    )
+
+
+def golden_from_dict(data: object) -> GoldenTrace:
+    """Validate a parsed golden-trace document.
+
+    Every defect, down to one event's missing cycle, raises a
+    ``ValueError`` that names the offending field.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"golden-trace file is not a JSON object ({type(data).__name__})"
+        )
     if data.get("kind") != GOLDEN_KIND:
         raise ValueError(
             f"not a golden-trace file (kind={data.get('kind')!r})"
@@ -160,37 +202,37 @@ def golden_from_dict(data: "dict[str, object]") -> GoldenTrace:
         raise ValueError(
             f"unsupported golden-trace schema {data.get('schema_version')!r}"
         )
-    library_name = str(data["library"])
+    library_name = str(_field(data, "library", "file"))
     library = build_library(library_name)
     raw_energy = data.get("energy_model")
     energy = None
     if isinstance(raw_energy, dict):
-        energy = EnergyModel(**raw_energy)
+        energy = _convert(lambda raw: EnergyModel(**raw), raw_energy, "energy_model")
     raw_events = data.get("events")
     if not isinstance(raw_events, list):
         raise ValueError("golden-trace file carries no event list")
-    events = [
-        Event(
-            int(e["cycle"]),
-            EventKind(e["kind"]),
-            str(e.get("task", "")),
-            str(e.get("si", "")),
-            dict(e["detail"]) if e.get("detail") else None,
-        )
-        for e in raw_events
-    ]
+    events = [_golden_event(raw, i) for i, raw in enumerate(raw_events)]
+    containers = _convert(int, _field(data, "containers", "file"), "containers")
+    if containers < 0:
+        raise ValueError("golden-trace field 'containers' must be non-negative")
+    core_mhz = _convert(float, data.get("core_mhz", 100.0), "core_mhz")
+    raw_rate = data.get("bytes_per_us")
+    rate = None if raw_rate is None else _convert(float, raw_rate, "bytes_per_us")
+    for field, value in (("core_mhz", core_mhz), ("bytes_per_us", rate)):
+        if value is not None and not 0 < value < math.inf:
+            raise ValueError(
+                f"golden-trace field {field!r} must be positive and finite"
+            )
     totals = data.get("totals")
     artifact = TraceArtifact(
         events=events,
         library=library,
-        containers=int(data["containers"]),  # type: ignore[call-overload]
-        core_mhz=float(data.get("core_mhz", 100.0)),  # type: ignore[arg-type]
-        bytes_per_us=(
-            float(data["bytes_per_us"])  # type: ignore[arg-type]
-            if data.get("bytes_per_us") is not None
-            else None
+        containers=containers,
+        core_mhz=core_mhz,
+        bytes_per_us=rate,
+        static_multiplicity=_convert(
+            int, data.get("static_multiplicity", 16), "static_multiplicity"
         ),
-        static_multiplicity=int(data.get("static_multiplicity", 16)),  # type: ignore[call-overload]
         totals=dict(totals) if isinstance(totals, dict) else None,
         energy_model=energy,
         subject=f"golden:{data.get('suite', library_name)}",

@@ -1,7 +1,10 @@
 """Command-line interface: regenerate the paper's tables and figures.
 
-``python -m repro list`` shows the available experiments;
-``python -m repro fig12`` (etc.) prints the regenerated artifact;
+``python -m repro list`` shows the paper-artifact catalogue
+(:mod:`repro.reporting.paper`: Figs. 1-13, Tables 1-2, the ablations and
+the extensions); ``python -m repro fig12`` (etc.) prints one artifact,
+byte for byte the text pinned in ``tests/golden/paper/<name>.txt``, and
+``python -m repro all`` prints them all;
 ``python -m repro lint`` statically checks the shipped artifacts with
 rispp-lint (see :mod:`repro.analysis`);
 ``python -m repro verify`` replays simulation traces against the formal
@@ -20,8 +23,8 @@ itself against its implementation contracts with rispp-audit (see
 answers chaos scenario requests over local HTTP/JSON with
 byte-deterministic reports (see :mod:`repro.serve` and
 ``docs/serving.md``).
-The benchmark suite (``pytest benchmarks/ --benchmark-only``) additionally
-*asserts* the reproduction criteria; this CLI is the quick look.
+The tier-1 tests assert the reproduction criteria on the same catalogue
+entries the CLI prints.
 """
 
 from __future__ import annotations
@@ -30,174 +33,6 @@ import argparse
 import difflib
 import sys
 from typing import Callable
-
-
-def _fig1() -> str:
-    from .hardware import AreaComparison, H264_PHASES
-    from .reporting import render_table
-
-    comparisons = [AreaComparison.build(list(H264_PHASES), a) for a in (1.0, 1.25, 1.5, 2.0)]
-    phases = render_table(
-        ["phase", "time %", "GE"],
-        [[p.name, p.time_pct, p.gate_equivalents] for p in H264_PHASES],
-        title="Fig. 1: H.264 phase profile",
-    )
-    table = render_table(
-        ["alpha", "GE extensible", "GE RISPP", "saving %"],
-        [
-            [c.alpha, c.extensible_ge, round(c.rispp_ge), round(c.saving_pct, 1)]
-            for c in comparisons
-        ],
-        title="Extensible processor vs RISPP",
-    )
-    return phases + "\n\n" + table
-
-
-def _fig3() -> str:
-    from .apps.aes import aes_forecast_report
-    from .reporting import render_table
-
-    report = aes_forecast_report(runs=8, containers=6)
-    table = render_table(
-        ["block", "SI", "p", "distance", "expected", "FDF demand"],
-        [
-            [c.block_id, c.si_name, f"{c.probability:.2f}", f"{c.distance:.0f}",
-             f"{c.expected_executions:.1f}", f"{c.required_executions:.1f}"]
-            for c in report.candidates
-        ],
-        title="Fig. 3: AES FC candidates",
-    )
-    return table + "\n\n" + report.dot
-
-
-def _fig4() -> str:
-    from .forecast import ForecastDecisionFunction
-    from .reporting import render_surface
-
-    fdf = ForecastDecisionFunction(
-        t_rot=85_000.0, t_sw=544.0, t_hw=24.0, rotation_energy=2_000.0
-    )
-    ticks = [0.1, 0.2, 0.4, 0.6, 1.0, 1.6, 2.5, 4.0, 6.3, 10.0, 15.8, 25.1, 39.8, 63.1, 100.0]
-    surface = fdf.surface([t * fdf.t_rot for t in ticks], [1.0, 0.7, 0.4])
-    return render_surface(
-        surface,
-        ["p=100%", "p=70%", "p=40%"],
-        [f"{t:g}" for t in ticks],
-        title="Fig. 4: FDF demand over t/T_rot",
-    )
-
-
-def _fig6() -> str:
-    from .apps.h264.scenario import run_fig6_scenario
-
-    result = run_fig6_scenario()
-    labels = ", ".join(
-        f"{n}={result.label(t, n):,}"
-        for t, n in (("A", "T0"), ("B", "T1"), ("B", "T2"), ("B", "T3"))
-    )
-    return f"Fig. 6 checkpoints: {labels}\n\n" + result.runtime.trace.render_timeline()
-
-
-def _fig11() -> str:
-    from .apps.h264 import REFERENCE_CONFIGS, build_h264_library, si_cycles_for_config
-    from .reporting import render_table
-
-    library = build_h264_library()
-    sis = ("SATD_4x4", "DCT_4x4", "HT_4x4")
-    return render_table(
-        ["SI", *REFERENCE_CONFIGS.keys()],
-        [
-            [si, *(si_cycles_for_config(library, si, c) for c in REFERENCE_CONFIGS)]
-            for si in sis
-        ],
-        title="Fig. 11: SI execution time [cycles]",
-    )
-
-
-def _fig12() -> str:
-    from .apps.h264 import (
-        REFERENCE_CONFIGS,
-        build_h264_library,
-        macroblock_cycles,
-        si_cycles_for_config,
-    )
-    from .reporting import render_table
-
-    library = build_h264_library()
-    paper = {"Opt. SW": 201_065, "4 Atoms": 60_244, "5 Atoms": 59_135, "6 Atoms": 58_287}
-    rows = []
-    for config in REFERENCE_CONFIGS:
-        latencies = {
-            s: si_cycles_for_config(library, s, config)
-            for s in ("SATD_4x4", "DCT_4x4", "HT_4x4", "HT_2x2")
-        }
-        total = macroblock_cycles(latencies)
-        rows.append([config, total, paper[config],
-                     f"{100 * (total - paper[config]) / paper[config]:+.2f}%"])
-    return render_table(
-        ["config", "measured", "paper", "deviation"],
-        rows,
-        title="Fig. 12: all-over encoder performance [cycles/MB]",
-    )
-
-
-def _fig13() -> str:
-    from .apps.h264 import build_h264_library
-    from .core import pareto_front_of
-    from .reporting import render_series
-
-    library = build_h264_library()
-    series = {}
-    for name in ("SATD_4x4", "HT_4x4", "DCT_4x4", "HT_2x2"):
-        si = library.get(name)
-        series[f"{name} (front)"] = [
-            (p.atoms, p.cycles) for p in pareto_front_of(si)
-        ]
-    return render_series(
-        series, title="Fig. 13: Pareto fronts", x_label="#Atoms", y_label="cycles"
-    )
-
-
-def _table1() -> str:
-    from .hardware import TABLE1_SPECS
-    from .reporting import render_table
-
-    return render_table(
-        ["Atom", "# Slices", "# LUTs", "Utilization", "Bitstream [B]", "Rotation [us]"],
-        [
-            [n, s.slices, s.luts, f"{100 * s.utilization:.1f}%",
-             s.bitstream_bytes, round(s.rotation_time_us(), 2)]
-            for n, s in TABLE1_SPECS.items()
-        ],
-        title="Table 1: atom hardware",
-    )
-
-
-def _table2() -> str:
-    from .apps.h264 import TABLE2
-    from .reporting import render_table
-
-    kinds = ("Load", "QuadSub", "Pack", "Transform", "SATD", "Add", "Store")
-    rows = []
-    for si, molecules in TABLE2.items():
-        for counts, cycles in molecules:
-            rows.append([si, *counts, cycles])
-    return render_table(
-        ["SI", *kinds, "cycles"], rows, title="Table 2: molecule compositions"
-    )
-
-
-EXPERIMENTS = {
-    "fig1": (_fig1, "extensible vs RISPP area (GE)"),
-    "fig3": (_fig3, "AES BB graph + FC candidates"),
-    "fig4": (_fig4, "the FDF surface"),
-    "fig6": (_fig6, "the two-task run-time scenario"),
-    "fig11": (_fig11, "SI cycles per resource configuration"),
-    "fig12": (_fig12, "whole-encoder performance"),
-    "fig13": (_fig13, "Pareto fronts"),
-    "table1": (_table1, "atom hardware figures"),
-    "table2": (_table2, "molecule compositions"),
-}
 
 
 #: Rule families each diagnostic tool reports on — the single map the
@@ -380,7 +215,7 @@ def _verify(argv: list[str]) -> int:
             parser.error("--emit-golden requires a --suite run")
         try:
             golden = load_golden(args.trace)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             parser.error(f"cannot load golden trace {args.trace!r}: {exc}")
         result = verify_golden_result(golden)
     else:
@@ -909,7 +744,9 @@ def tool_help(command: str) -> str:
 
 
 def _usage() -> str:
-    names = " | ".join(EXPERIMENTS)
+    from .reporting.paper import PAPER
+
+    names = " | ".join(PAPER)
     tools = " | ".join(TOOL_COMMANDS)
     helps = ", ".join(f"'repro {name} --help'" for name in TOOL_COMMANDS)
     return (
@@ -930,24 +767,28 @@ def main(argv: list[str] | None = None) -> int:
     if rest:
         print(f"repro {command}: unexpected arguments {rest}", file=sys.stderr)
         return 2
+    # The catalogue imports every case study: only the artifact commands
+    # load it, so `repro serve` and the tools start without it.
+    from .reporting.paper import PAPER, built
+
     if command == "list":
-        for name, (_fn, desc) in EXPERIMENTS.items():
-            print(f"{name:8s} {desc}")
+        width = max(map(len, PAPER))
+        for name, artifact in PAPER.items():
+            print(f"{name:{width}s}  {artifact.description}")
         return 0
     if command == "all":
-        for name, (fn, _desc) in EXPERIMENTS.items():
+        for name in PAPER:
             print(f"==== {name} " + "=" * (60 - len(name)))
-            print(fn())
+            print(built(name).text)
             print()
         return 0
-    if command in EXPERIMENTS:
-        fn, _desc = EXPERIMENTS[command]
-        print(fn())
+    if command in PAPER:
+        print(built(command).text)
         return 0
     hint = ""
     close = difflib.get_close_matches(
         command,
-        [*EXPERIMENTS, "list", "all", *TOOL_COMMANDS],
+        [*PAPER, "list", "all", *TOOL_COMMANDS],
         n=1,
     )
     if close:

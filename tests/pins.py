@@ -1,19 +1,22 @@
-"""Committed behaviour pins: trace digests and golden traces.
+"""Committed behaviour pins: trace digests, golden traces, paper texts.
 
 ``tests/golden/`` holds references recorded from the runtime and
 checked by ``tests/test_golden_pins.py``:
 
-* ``digests.json`` — per bench suite (``h264``, ``aes``, ``synthetic``;
-  quick and full), the sha256 of ``repr(trace_signature(trace))`` of the
-  suite's end-to-end scenario; and, per seeded random interleaving of
-  forecasts, forecast ends, executions, container failures and idle
-  advances, the digests of the trace and of the run statistics.
+* ``digests.json`` — per suite of ``repro.bench.suites.SUITES``
+  (``aes``, ``h264``, ``synthetic``; quick and full), the sha256 of
+  ``repr(trace_signature(trace))`` of the suite's end-to-end scenario;
+  and, per seeded random interleaving of forecasts, forecast ends,
+  executions, container failures and idle advances, the digests of the
+  trace and of the run statistics.
   It also holds, per suite, the sha256 of the rendered quick chaos
   report (seed 3, fault rate 50) and of the quick ``repro metrics``
   JSONL snapshot, and the trace digest of the quick h264 verify
   scenario.
 * ``<suite>.json`` — the full ``rispp-verify`` golden traces of the
   ``aes`` and ``synthetic`` verify scenarios.
+* ``paper/<name>.txt`` — the rendered text of every paper artifact of
+  :mod:`repro.reporting.paper`, exactly as ``repro <name>`` prints it.
 
 A deliberate behaviour change regenerates every pin with one command,
 run from the repository root::
@@ -33,8 +36,10 @@ from pathlib import Path
 
 from repro.analysis.verify import golden_from_runtime, run_verify_suite
 from repro.bench import scenario_runtime, trace_digest
+from repro.bench.suites import SUITES
 from repro.faults import run_chaos_suite
 from repro.obs import run_metrics_suite, to_jsonl
+from repro.reporting.paper import PAPER, built
 from repro.runtime import RisppRuntime
 from tests.conftest import build_mini_library
 
@@ -44,7 +49,8 @@ PINS_PATH = GOLDEN_DIR / "digests.json"
 REPO_ROOT = GOLDEN_DIR.parents[1]
 #: Verify scenarios whose whole golden trace is committed.
 GOLDEN_TRACE_SUITES = ("aes", "synthetic")
-BENCH_SUITES = ("h264", "aes", "synthetic")
+#: The committed text of every paper artifact.
+PAPER_DIR = GOLDEN_DIR / "paper"
 #: The pinned chaos campaign of every suite: quick, seed 3, rate 50.
 CHAOS_PIN = {"seed": 3, "quick": True, "fault_rate": 50.0}
 #: Seeds of the pinned random interleavings.
@@ -130,7 +136,7 @@ def bench_pins() -> dict:
             mode: trace_digest(scenario_runtime(suite, quick=mode == "quick").trace)
             for mode in ("quick", "full")
         }
-        for suite in BENCH_SUITES
+        for suite in SUITES
     }
 
 
@@ -164,6 +170,15 @@ def golden_trace_path(suite: str) -> Path:
     return GOLDEN_DIR / f"{suite}.json"
 
 
+def paper_text(name: str) -> str:
+    """One paper artifact, as ``repro <name>`` prints it."""
+    return built(name).text + "\n"
+
+
+def paper_path(name: str) -> Path:
+    return PAPER_DIR / f"{name}.txt"
+
+
 def load_digests() -> dict:
     return json.loads(PINS_PATH.read_text(encoding="utf-8"))
 
@@ -177,9 +192,9 @@ def write_pins() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     digests = {
         "bench": bench_pins(),
-        "chaos": {s: sha256_text(chaos_report_text(s)) for s in BENCH_SUITES},
+        "chaos": {s: sha256_text(chaos_report_text(s)) for s in SUITES},
         "interleavings": [interleaving_pin(s) for s in INTERLEAVING_SEEDS],
-        "metrics": {s: sha256_text(metrics_text(s)) for s in BENCH_SUITES},
+        "metrics": {s: sha256_text(metrics_text(s)) for s in SUITES},
         "verify": {"h264": {"quick": verify_h264_digest()}},
     }
     PINS_PATH.write_text(
@@ -187,6 +202,9 @@ def write_pins() -> None:
     )
     for suite in GOLDEN_TRACE_SUITES:
         golden_trace_path(suite).write_text(golden_text(suite), encoding="utf-8")
+    PAPER_DIR.mkdir(exist_ok=True)
+    for name in PAPER:
+        paper_path(name).write_text(paper_text(name), encoding="utf-8")
 
 
 if __name__ == "__main__":

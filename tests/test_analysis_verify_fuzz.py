@@ -6,16 +6,22 @@ backend yields a trace the reference machine replays with zero
 findings — the machine and the manager implement the same §3/§5
 semantics, independently.  The deterministic half then mutates verified
 traces by hand and asserts each mutation trips exactly the intended
-rule (no cascades: one corruption, one finding family).
+rule (no cascades: one corruption, one finding family).  The golden-trace
+loader is fuzzed too: whatever JSON it is handed, it answers with a
+``ValueError`` naming the bad field (``repro verify --trace`` exits 2 on
+it) and never with another exception.
 """
 
+import copy
 import dataclasses
 from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import verify_runtime, verify_trace
+from repro.analysis.verify import GOLDEN_KIND, GOLDEN_SCHEMA_VERSION, golden_from_dict
 from repro.core import (
     AtomCatalogue,
     AtomKind,
@@ -179,3 +185,104 @@ class TestHandMutations:
         totals["si_cycles"] = -totals["si_cycles"]
         report = _verify(rt, events, totals=totals)
         assert {d.rule_id for d in report} == {"TRC007"}, report.render_text()
+
+
+# -- the golden-trace loader ------------------------------------------------
+
+#: A minimal well-formed golden-trace document.
+GOLDEN_EVENT = {
+    "cycle": 10_000, "kind": "forecast", "task": "main", "si": "SI0",
+    "detail": {"expected": 16.0, "priority": 1.0},
+}
+GOLDEN_DOC = {
+    "schema_version": GOLDEN_SCHEMA_VERSION,
+    "kind": GOLDEN_KIND,
+    "suite": "synthetic",
+    "library": "synthetic",
+    "containers": 5,
+    "core_mhz": 100.0,
+    "bytes_per_us": 69.2,
+    "static_multiplicity": 16,
+    "totals": {"si_executions": 0},
+    "energy_model": {"leakage_nw_per_slice": 12.0},
+    "events": [GOLDEN_EVENT],
+}
+
+#: Any value a JSON parser can return (``json`` accepts NaN/Infinity).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@st.composite
+def near_golden_docs(draw):
+    """The well-formed document with some fields dropped or replaced."""
+    doc = copy.deepcopy(GOLDEN_DOC)
+    event = doc["events"][0]
+    for target in (doc, event):
+        for key in draw(st.lists(st.sampled_from(sorted(target)), unique=True)):
+            if draw(st.booleans()):
+                del target[key]
+            else:
+                target[key] = draw(JSON_VALUES)
+    return doc
+
+
+class TestGoldenLoader:
+    def test_well_formed_document_loads(self):
+        golden = golden_from_dict(copy.deepcopy(GOLDEN_DOC))
+        assert golden.library_name == "synthetic"
+        assert golden.artifact.containers == 5
+        assert golden.artifact.events[0].kind is EventKind.FORECAST
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([], "not a JSON object"),
+            ("str", "not a JSON object"),
+            (5, "not a JSON object"),
+            (_without(GOLDEN_DOC, "library"), "file lacks 'library'"),
+            (_without(GOLDEN_DOC, "containers"), "file lacks 'containers'"),
+            ({**GOLDEN_DOC, "containers": None}, "field 'containers' is invalid"),
+            ({**GOLDEN_DOC, "containers": -1}, "'containers' must be non-negative"),
+            ({**GOLDEN_DOC, "core_mhz": 0}, "'core_mhz' must be positive"),
+            ({**GOLDEN_DOC, "bytes_per_us": float("nan")}, "'bytes_per_us' must be"),
+            (
+                {**GOLDEN_DOC, "events": [_without(GOLDEN_EVENT, "cycle")]},
+                r"events\[0\] lacks 'cycle'",
+            ),
+            ({**GOLDEN_DOC, "events": [5]}, r"events\[0\] is not a JSON object"),
+            (
+                {**GOLDEN_DOC, "events": [{**GOLDEN_EVENT, "kind": "warp"}]},
+                r"field 'events\[0\]\.kind' is invalid",
+            ),
+            (
+                {**GOLDEN_DOC, "energy_model": {"volts": 1}},
+                "field 'energy_model' is invalid",
+            ),
+        ],
+        ids=[
+            "list", "string", "number", "no-library", "no-containers",
+            "null-containers", "negative-containers", "zero-core-mhz",
+            "nan-port-rate", "event-without-cycle", "event-not-object",
+            "unknown-event-kind", "unknown-energy-field",
+        ],
+    )
+    def test_malformed_document_names_the_field(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            golden_from_dict(payload)
+
+    @given(payload=JSON_VALUES | near_golden_docs())
+    @settings(max_examples=300, deadline=None)
+    def test_only_value_errors_escape(self, payload):
+        try:
+            golden_from_dict(payload)
+        except ValueError:
+            pass

@@ -1,19 +1,24 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.rules import RULES, families, rules_of_family
-from repro.cli import EXPERIMENTS, TOOL_COMMANDS, TOOL_FAMILIES, main
+from repro.cli import TOOL_COMMANDS, TOOL_FAMILIES, main
+from repro.reporting.paper import PAPER, built
 
 
 class TestCLI:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in out
+        for name, artifact in PAPER.items():
+            assert f"{name} " in out and artifact.description in out
 
     @pytest.mark.parametrize(
         "name", ["fig1", "fig4", "fig11", "fig12", "fig13", "table1", "table2"]
@@ -70,10 +75,40 @@ class TestCLI:
         assert main(["--help"]) == 0
         assert "usage:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("name", [*EXPERIMENTS, "list"])
+    @pytest.mark.parametrize("name", [*PAPER, "list"])
     def test_every_subcommand_smokes(self, name, capsys):
         assert main([name]) == 0
-        assert capsys.readouterr().out.strip()
+        out = capsys.readouterr().out
+        assert out.strip()
+        if name in PAPER:
+            # Exactly the catalogue's text, which tests/golden/paper pins.
+            assert out == built(name).text + "\n"
+
+    def test_all_prints_every_artifact(self, capsys):
+        assert main(["all"]) == 0
+        out = capsys.readouterr().out
+        for name in PAPER:
+            assert f"==== {name} =" in out
+            assert built(name).text in out
+
+    def test_tool_commands_do_not_load_the_catalogue(self):
+        # `repro serve` start-up is timed by the benchmark: the tools must
+        # not pay for importing every case study.
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "try:\n"
+            "    main(['serve', '--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print('repro.reporting.paper' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(src)},
+        ).stdout
+        assert out.splitlines()[-1] == "False"
 
 
 class TestLintCommand:

@@ -67,6 +67,15 @@ def _readme_stub() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _experiments_stub() -> str:
+    """A minimal EXPERIMENTS.md naming every paper artifact."""
+    from repro.reporting.paper import PAPER
+
+    lines = ["# Experiments", ""]
+    lines += [f"Artifact: `repro {name}`" for name in PAPER]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def repo(tmp_path):
     """A minimal healthy repo layout the checker accepts."""
@@ -80,6 +89,7 @@ def repo(tmp_path):
     (tmp_path / "docs" / "events.md").write_text(_events_stub())
     (tmp_path / "docs" / "serving.md").write_text(_serving_stub())
     (tmp_path / "README.md").write_text(_readme_stub())
+    (tmp_path / "EXPERIMENTS.md").write_text(_experiments_stub())
     return tmp_path
 
 
@@ -327,6 +337,38 @@ class TestCliSurface:
         (repo / "README.md").write_text(
             _readme_stub()
             + "| `<figN>` / `all` | regenerate |\n| `list` | list |\n"
+        )
+        assert _findings(repo) == []
+
+
+class TestExperimentsCoverage:
+    def test_missing_experiments_doc_is_flagged(self, repo):
+        (repo / "EXPERIMENTS.md").unlink()
+        assert any("EXPERIMENTS.md is missing" in f for f in _findings(repo))
+
+    def test_artifact_missing_from_the_doc_is_flagged(self, repo):
+        stub = "\n".join(
+            line
+            for line in _experiments_stub().splitlines()
+            if line != "Artifact: `repro fig6`"
+        )
+        (repo / "EXPERIMENTS.md").write_text(stub + "\n")
+        assert _findings(repo) == [
+            "EXPERIMENTS.md:1: paper artifact 'fig6' is not named in "
+            "EXPERIMENTS.md (as `repro fig6`)"
+        ]
+
+    def test_unknown_artifact_in_the_doc_is_flagged(self, repo):
+        (repo / "EXPERIMENTS.md").write_text(
+            _experiments_stub() + "Artifact: `repro fig99`\n"
+        )
+        assert any("unknown paper artifact 'fig99'" in f for f in _findings(repo))
+
+    def test_commands_and_fenced_names_are_not_artifacts(self, repo):
+        (repo / "EXPERIMENTS.md").write_text(
+            _experiments_stub()
+            + "Run `repro all` or `repro list`; `repro verify` checks traces.\n"
+            + "```\n`repro fig99`\n```\n"
         )
         assert _findings(repo) == []
 

@@ -1,20 +1,20 @@
 """Integration test: the complete Fig. 6 run-time scenario.
 
-Asserts the paper's six T-point properties on the executed event trace.
+Asserts the paper's six T-point properties on the executed event trace
+of the ``fig6`` paper artifact (its rendered timeline is pinned in
+``tests/golden/paper/fig6.txt``).
 """
 
 import pytest
 
-from repro.apps.h264.scenario import (
-    build_scenario_library,
-    run_fig6_scenario,
-)
+from repro.apps.h264.scenario import build_scenario_library
+from repro.reporting.paper import built
 from repro.sim import EventKind
 
 
 @pytest.fixture(scope="module")
 def scenario():
-    return run_fig6_scenario()
+    return built("fig6").data["result"]
 
 
 class TestScenarioLibrary:
@@ -60,6 +60,14 @@ class TestT0SteadyState:
             if e.task == "A" and e.cycle >= t0
         )
         assert first.detail["cycles"] == 24  # minimal SATD_4x4 molecule
+        # ... and it stays there until T1.
+        t1 = scenario.label("B", "T1")
+        steady = [
+            e
+            for e in tr.of_kind(EventKind.SI_EXECUTED)
+            if e.task == "A" and t0 <= e.cycle < t1
+        ]
+        assert all(e.detail["cycles"] == 24 for e in steady)
 
 
 class TestT1Reallocation:
@@ -100,6 +108,12 @@ class TestT1Reallocation:
         )
         assert switch.detail["from_mode"] == "SW"
         assert switch.detail["cycles"] == 20
+        modes = [
+            e.detail["mode"]
+            for e in tr.of_kind(EventKind.SI_EXECUTED)
+            if e.si == "SI1"
+        ]
+        assert modes[0] == "SW" and modes[-1] == "P1 T1 I1"
 
 
 class TestT2Release:
@@ -169,9 +183,7 @@ class TestT4T5Upgrades:
             if e.task == "A" and e.si == "SATD_4x4" and e.cycle > t2
         ]
         # SW -> 24 -> 20 -> 18: strictly improving molecule ladder.
-        assert cycle_series == sorted(cycle_series, reverse=True)
-        assert cycle_series[0] == 24
-        assert cycle_series[-1] == 18
+        assert cycle_series == [24, 20, 18]
 
     def test_each_upgrade_follows_a_rotation_completion(self, scenario):
         tr = scenario.runtime.trace

@@ -4,8 +4,9 @@ Every case re-runs a scenario on the current code and compares it with
 its pin: the bench suites' trace digests on the shipped kernels and on
 the reference (each trace also replays cleanly through
 ``rispp-verify``), the rendered chaos reports and metrics snapshots of
-every suite, the quick h264 verify trace, and the full ``rispp-verify``
-golden traces of the aes and synthetic verify scenarios.  (The seeded
+every suite, the quick h264 verify trace, the full ``rispp-verify``
+golden traces of the aes and synthetic verify scenarios, and the text
+of every paper artifact.  (The seeded
 interleaving digests are checked in ``tests/test_events_property.py``.)
 A mismatch means the runtime's observable behaviour changed;
 if that was deliberate, regenerate the pins (``tests/pins.py`` says
@@ -16,6 +17,8 @@ import pytest
 
 from repro.analysis.verify import load_golden, verify_golden, verify_runtime
 from repro.bench import scenario_runtime, trace_digest, trace_signature
+from repro.bench.suites import SUITES
+from repro.reporting.paper import PAPER
 from repro.sim import EventKind, Trace
 from tests import pins
 
@@ -23,7 +26,7 @@ DIGESTS = pins.load_digests()
 
 
 @pytest.mark.parametrize("mode", ["quick", "full"])
-@pytest.mark.parametrize("suite", pins.BENCH_SUITES)
+@pytest.mark.parametrize("suite", SUITES)
 def test_bench_suite_trace_matches_pin(suite, mode, kernels):
     rt = scenario_runtime(suite, quick=mode == "quick")
     assert trace_digest(rt.trace) == DIGESTS["bench"][suite][mode]
@@ -47,13 +50,13 @@ def test_trace_signature_resolves_lazy_details():
     assert trace_signature(eager) != trace_signature(Trace())
 
 
-@pytest.mark.parametrize("suite", pins.BENCH_SUITES)
+@pytest.mark.parametrize("suite", SUITES)
 def test_chaos_report_matches_pin(suite):
     assert pins.sha256_text(pins.chaos_report_text(suite)) == \
         DIGESTS["chaos"][suite]
 
 
-@pytest.mark.parametrize("suite", pins.BENCH_SUITES)
+@pytest.mark.parametrize("suite", SUITES)
 def test_metrics_snapshot_matches_pin(suite):
     assert pins.sha256_text(pins.metrics_text(suite)) == \
         DIGESTS["metrics"][suite]
@@ -69,3 +72,8 @@ def test_verify_scenario_matches_golden_trace(suite):
     assert pins.golden_text(suite) == path.read_text(encoding="utf-8")
     assert verify_golden(load_golden(str(path))).ok()
 
+
+
+@pytest.mark.parametrize("name", list(PAPER))
+def test_paper_artifact_matches_pin(name):
+    assert pins.paper_text(name) == pins.paper_path(name).read_text(encoding="utf-8")

@@ -215,6 +215,33 @@ class TestUsageErrors:
             main(["verify", "--trace", str(path)])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda data: [],
+            lambda data: {k: v for k, v in data.items() if k != "library"},
+            lambda data: {**data, "containers": None},
+            lambda data: {**data, "core_mhz": 0},
+            lambda data: {
+                **data,
+                "events": [
+                    {k: v for k, v in data["events"][0].items() if k != "cycle"}
+                ],
+            },
+        ],
+        ids=[
+            "list", "no-library", "null-containers", "zero-core-mhz",
+            "event-without-cycle",
+        ],
+    )
+    def test_malformed_golden_exits_two(self, tmp_path, golden_path, capsys, mutate):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(mutate(_load(golden_path))))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--trace", str(path)])
+        assert excinfo.value.code == 2
+        assert "cannot load golden trace" in capsys.readouterr().err
+
     def test_missing_golden_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--trace", str(tmp_path / "absent.json")])
