@@ -312,6 +312,10 @@ def _copy_world(world: _World) -> _World:
         rt.fabric,
         containers=[copy.copy(c) for c in rt.fabric.containers],
     )
+    # The copies must bump the clone's generation counter, not the
+    # source's; the memoized views stay valid (same generation).
+    for container in new_fabric.containers:
+        container.fabric = new_fabric
     new_monitor = _shallow(
         rt.monitor,
         _stats={k: copy.copy(s) for k, s in rt.monitor._stats.items()},
@@ -343,8 +347,7 @@ def _copy_world(world: _World) -> _World:
         task_stats={k: copy.copy(s) for k, s in rt.task_stats.items()},
         _active={k: copy.copy(f) for k, f in rt._active.items()},
         _last_mode=dict(rt._last_mode),
-        _impl_cache=dict(rt._impl_cache),
-        _rc_cache=dict(rt._rc_cache),
+        _dispatch=dict(rt._dispatch),
         _faults=new_inj,
     )
     if new_inj is not None:

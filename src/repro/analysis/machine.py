@@ -1038,6 +1038,12 @@ class ReferenceMachine:
             checked -= {"rotation_energy_nj", "execution_energy_nj"}
         for key in sorted(checked):
             if key not in self.totals:
+                self._emit(
+                    "TRC007",
+                    f"reported totals lack {key} (the per-event deltas "
+                    f"sum to {expected[key]})",
+                    location=key,
+                )
                 continue
             reported = self.totals[key]
             if not isinstance(reported, (int, float)):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Any, TypeVar
 
 from ..core.library import SILibrary
@@ -36,6 +36,11 @@ if TYPE_CHECKING:
 
 GOLDEN_SCHEMA_VERSION = 1
 GOLDEN_KIND = "rispp-golden-trace"
+#: Largest ``containers`` a golden-trace file may claim.  The replay
+#: allocates per-container state, so an absurd count would stall the
+#: verifier instead of failing it; real platforms (the paper's and every
+#: shipped suite) have at most a few dozen Atom Containers.
+MAX_GOLDEN_CONTAINERS = 1024
 
 
 def build_library(name: str) -> SILibrary:
@@ -184,6 +189,24 @@ def _golden_event(raw: object, index: int) -> Event:
     )
 
 
+def _golden_totals(raw: object) -> "dict[str, object] | None":
+    """The run totals: absent, or an object of known ``RuntimeStats`` keys."""
+    from ..runtime.manager import RuntimeStats
+
+    if raw is None:
+        return None
+    if not isinstance(raw, dict):
+        raise ValueError("golden-trace field 'totals' is not a JSON object")
+    known = {f.name for f in fields(RuntimeStats)}
+    for key in sorted(map(str, raw)):
+        if key not in known:
+            raise ValueError(
+                f"golden-trace field 'totals.{key}' is unknown "
+                f"(known: {', '.join(sorted(known))})"
+            )
+    return dict(raw)
+
+
 def golden_from_dict(data: object) -> GoldenTrace:
     """Validate a parsed golden-trace document.
 
@@ -215,6 +238,11 @@ def golden_from_dict(data: object) -> GoldenTrace:
     containers = _convert(int, _field(data, "containers", "file"), "containers")
     if containers < 0:
         raise ValueError("golden-trace field 'containers' must be non-negative")
+    if containers > MAX_GOLDEN_CONTAINERS:
+        raise ValueError(
+            f"golden-trace field 'containers' is {containers}; at most "
+            f"{MAX_GOLDEN_CONTAINERS} are supported"
+        )
     core_mhz = _convert(float, data.get("core_mhz", 100.0), "core_mhz")
     raw_rate = data.get("bytes_per_us")
     rate = None if raw_rate is None else _convert(float, raw_rate, "bytes_per_us")
@@ -223,7 +251,7 @@ def golden_from_dict(data: object) -> GoldenTrace:
             raise ValueError(
                 f"golden-trace field {field!r} must be positive and finite"
             )
-    totals = data.get("totals")
+    totals = _golden_totals(data.get("totals"))
     artifact = TraceArtifact(
         events=events,
         library=library,
@@ -233,7 +261,7 @@ def golden_from_dict(data: object) -> GoldenTrace:
         static_multiplicity=_convert(
             int, data.get("static_multiplicity", 16), "static_multiplicity"
         ),
-        totals=dict(totals) if isinstance(totals, dict) else None,
+        totals=totals,
         energy_model=energy,
         subject=f"golden:{data.get('suite', library_name)}",
     )

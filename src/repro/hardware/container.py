@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .fabric import Fabric
 
 
 class ContainerState(enum.Enum):
@@ -52,11 +56,18 @@ class AtomContainer:
     #: rotation; only a ``repair=True`` rotation may target it.
     quarantined: bool = False
     #: Bumped on every availability-changing mutation (rotation start or
-    #: completion, eviction, failure).  The fabric sums these into its
-    #: state generation so derived views can be memoized between
-    #: mutations; ``last_used`` touches do not count — they never change
-    #: which Atoms are usable.
+    #: completion, eviction, failure).  ``last_used`` touches do not
+    #: count — they never change which Atoms are usable.
     generation: int = field(default=0, compare=False, repr=False)
+    #: The fabric this container belongs to; every bump of
+    #: :attr:`generation` bumps the fabric's counter too, so the
+    #: fabric-wide generation is one attribute read, not a sum.
+    fabric: "Fabric | None" = field(default=None, compare=False, repr=False)
+
+    def _bump(self) -> None:
+        self.generation += 1
+        if self.fabric is not None:
+            self.fabric.generation += 1
 
     def is_available(self) -> bool:
         """True when the container holds a usable Atom.
@@ -90,7 +101,7 @@ class AtomContainer:
         self.ready_at = None
         self.corrupted = False
         self.quarantined = False
-        self.generation += 1
+        self._bump()
         return lost
 
     def mark_corrupted(self) -> str:
@@ -109,7 +120,7 @@ class AtomContainer:
                 f"container {self.container_id} is out of service"
             )
         self.corrupted = True
-        self.generation += 1
+        self._bump()
         return self.atom
 
     def quarantine(self) -> str | None:
@@ -135,7 +146,7 @@ class AtomContainer:
         self.ready_at = None
         self.corrupted = False
         self.quarantined = True
-        self.generation += 1
+        self._bump()
         return lost
 
     def release_quarantine(self) -> None:
@@ -145,7 +156,7 @@ class AtomContainer:
                 f"container {self.container_id} is not quarantined"
             )
         self.quarantined = False
-        self.generation += 1
+        self._bump()
 
     def abort_rotation(self) -> str | None:
         """Abandon an in-flight rotation (mid-write bitstream error).
@@ -162,7 +173,7 @@ class AtomContainer:
         self.state = ContainerState.EMPTY
         self.atom = None
         self.ready_at = None
-        self.generation += 1
+        self._bump()
         return lost
 
     def is_busy(self) -> bool:
@@ -204,7 +215,7 @@ class AtomContainer:
         if owner is not None:
             self.owner = owner
         self.rotations += 1
-        self.generation += 1
+        self._bump()
 
     def complete_rotation(self, now: int) -> None:
         """Finish the in-flight rotation (called by the port at ``ready_at``)."""
@@ -219,7 +230,7 @@ class AtomContainer:
         self.state = ContainerState.LOADED
         self.ready_at = None
         self.last_used = now
-        self.generation += 1
+        self._bump()
 
     def touch(self, now: int) -> None:
         """Record a use of the loaded Atom (replacement-policy input)."""
@@ -241,7 +252,7 @@ class AtomContainer:
         self.state = ContainerState.EMPTY
         self.atom = None
         self.corrupted = False
-        self.generation += 1
+        self._bump()
         return previous
 
     def reassign(self, owner: str | None) -> None:

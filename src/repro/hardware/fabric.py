@@ -9,11 +9,13 @@ case study) — are always available in effectively unlimited multiplicity,
 which we model with a configurable count.
 
 The derived molecule views (:meth:`available_atoms`,
-:meth:`loaded_reconfigurable`, :meth:`in_flight`) are memoized against a
-**state generation** — the sum of the per-container mutation counters.
-Between rotations the fabric is immutable, yet the run-time manager asks
-"what is loaded?" on *every* SI execution; the generation check turns
-those queries into a dict lookup instead of a molecule construction.
+:meth:`loaded_reconfigurable`) are memoized against a **state
+generation**: :attr:`Fabric.generation`, a counter every container bumps
+on each availability-changing mutation (it always equals the sum of the
+per-container counters, but is never summed to be read).  Between
+rotations the fabric is immutable, so one integer comparison tells the
+run-time manager's per-SI dispatch cache, the port's event horizon and
+these views whether anything they derived is still valid.
 """
 
 from __future__ import annotations
@@ -46,7 +48,12 @@ class Fabric:
         self.catalogue = catalogue
         self.space = catalogue.space
         self.static_multiplicity = static_multiplicity
-        self.containers = [AtomContainer(i) for i in range(num_containers)]
+        self.containers = [
+            AtomContainer(i, fabric=self) for i in range(num_containers)
+        ]
+        #: Monotone counter of availability-changing mutations, bumped by
+        #: the containers themselves (see :meth:`AtomContainer._bump`).
+        self.generation = 0
         # The static fabric offers its helper atoms at full multiplicity
         # and a baseline of some reconfigurable kinds (e.g. one built-in
         # Load lane); containers add instances on top.
@@ -61,6 +68,18 @@ class Fabric:
         self._available_cache: tuple[int, Molecule] | None = None
         self._loaded_cache: tuple[int, Molecule] | None = None
         self._bind_metrics(metrics)
+
+    def resync(self) -> None:
+        """Re-derive :attr:`generation` after container state was overwritten.
+
+        Snapshot restore writes every container field, counters included;
+        afterwards the fabric-wide counter is their sum again.  Memoized
+        views are dropped: a restored sum may equal a generation they
+        were computed for.
+        """
+        self.generation = sum(c.generation for c in self.containers)
+        self._available_cache = None
+        self._loaded_cache = None
 
     def _bind_metrics(self, metrics: "MetricRegistry | None") -> None:
         """Register the fabric's telemetry (callback gauges + counters).
@@ -106,11 +125,6 @@ class Fabric:
         return self.containers[container_id]
 
     # -- atom visibility ------------------------------------------------------
-
-    @property
-    def generation(self) -> int:
-        """Monotone counter of availability-changing mutations."""
-        return sum(c.generation for c in self.containers)
 
     def available_atoms(self) -> Molecule:
         """Usable Atoms right now: loaded containers + static atoms."""
@@ -207,26 +221,34 @@ class Fabric:
         if atom not in self._reconfigurable:
             raise ValueError(f"atom kind {atom!r} is static and never rotates")
 
-    def touch_atoms(self, molecule: Molecule, now: int) -> None:
-        """Mark containers backing ``molecule``'s reconfigurable atoms as used.
+    def backing(self, molecule: Molecule) -> tuple[int, ...]:
+        """Ids of the containers that back ``molecule``'s reconfigurable atoms.
 
-        One pass over the containers (id order, matching the original
-        per-kind ``containers_holding`` walk) instead of one scan per
-        atom kind — this sits on the SI-execution hot path.
+        For each reconfigurable kind, the first ``count`` usable
+        containers holding it, in id order.  The answer only changes with
+        :attr:`generation`, so the run-time manager computes it once per
+        (SI, generation) and touches these ids on every execution.
         """
         needed: dict[str, int] = {}
         for kind in molecule.kinds_used():
             if kind in self._reconfigurable:
                 needed[kind] = molecule.count(kind)
-        if not needed:
-            return
+        ids: list[int] = []
         for c in self.containers:
-            if not c.is_available():
-                continue
             remaining = needed.get(c.atom or "", 0)
-            if remaining > 0:
-                c.last_used = now
+            if remaining > 0 and c.is_available():
+                ids.append(c.container_id)
                 needed[c.atom or ""] = remaining - 1
+        return tuple(ids)
+
+    def touch_atoms(self, molecule: Molecule, now: int) -> None:
+        """Mark containers backing ``molecule``'s reconfigurable atoms as used.
+
+        The one-shot form; the run-time manager caches :meth:`backing`
+        per fabric generation and writes ``last_used`` itself.
+        """
+        for container_id in self.backing(molecule):
+            self.containers[container_id].last_used = now
 
     def utilisation(self) -> float:
         """Fraction of containers holding or loading an Atom."""

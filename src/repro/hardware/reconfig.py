@@ -14,10 +14,17 @@ reallocated to Task A — they still contain SI0's Atoms while earlier
 rotations occupy the port.  :meth:`ReconfigurationPort.advance` moves
 simulated time forward, performing evictions at each job's start and
 completions at its finish.
+
+The port caches its **event horizon** — the first cycle at which
+``advance`` has anything to do — for one fabric generation.  Every port
+mutation forgets it, and so does every fabric change (a container
+failure must still drop its job), so the run-time manager can skip
+``advance`` with one comparison on all the SI executions in between.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -80,6 +87,11 @@ class ReconfigurationPort:
         self.jobs: list[RotationJob] = []
         self._pending: list[RotationJob] = []
         self._reserved: set[int] = set()
+        #: First cycle at which :meth:`advance` has work to do, valid
+        #: while the fabric's generation equals ``horizon_generation``
+        #: (see :meth:`refresh_horizon`); -1 marks it stale.
+        self.horizon: float = -math.inf
+        self.horizon_generation = -1
         #: Set by :meth:`attach`: the owning runtime whose event bus
         #: receives a ``RotationCompleted`` per retired job.  Standalone
         #: ports (unit tests, planners) stay unattached and communicate
@@ -122,6 +134,26 @@ class ReconfigurationPort:
             raise ValueError(f"atom kind {atom!r} has no bitstream size")
         time_us = kind.bitstream_bytes / self.bytes_per_us
         return max(1, round(time_us * self.core_mhz))
+
+    def refresh_horizon(self, fabric: Fabric) -> None:
+        """Cache the first cycle at which ``advance(fabric, ·)`` has work.
+
+        That is the earliest pending start or completion — at once when
+        a pending job targets a failed container (it must be dropped),
+        never when the port is idle.  Valid until the port mutates or
+        the fabric's generation moves.
+        """
+        if any(fabric.containers[j.container_id].failed for j in self._pending):
+            horizon = -math.inf
+        else:
+            upcoming = self.next_event()
+            horizon = math.inf if upcoming is None else upcoming
+        self.horizon = horizon
+        self.horizon_generation = fabric.generation
+
+    def invalidate_horizon(self) -> None:
+        """Forget the cached horizon (the queue or its timing changed)."""
+        self.horizon_generation = -1
 
     def is_reserved(self, container_id: int) -> bool:
         """True while a scheduled or in-flight rotation targets the container."""
@@ -179,6 +211,7 @@ class ReconfigurationPort:
         self.jobs.append(job)
         self._pending.append(job)
         self._reserved.add(container_id)
+        self.invalidate_horizon()
         if self._obs_on:
             self._m_queue_depth.set(len(self._pending))
         return job
@@ -194,6 +227,7 @@ class ReconfigurationPort:
         jobs are pulled forward and ``busy_until`` is recomputed — later
         rotations must not queue behind a phantom bitstream write.
         """
+        self.invalidate_horizon()
         if any(
             fabric.container(j.container_id).failed for j in self._pending
         ):
@@ -260,6 +294,7 @@ class ReconfigurationPort:
         the queue drained, never earlier (the port cannot re-lease time
         it already spent).
         """
+        self.invalidate_horizon()
         cursor = now
         for job in sorted(self._pending, key=lambda j: j.started_at):
             if job.started:

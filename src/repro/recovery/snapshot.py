@@ -395,8 +395,7 @@ def _restore_containers(runtime: RisppRuntime, data: list[dict[str, Any]]) -> No
         container.corrupted = entry["corrupted"]
         container.quarantined = entry["quarantined"]
         container.generation = entry["generation"]
-    fabric._available_cache = None
-    fabric._loaded_cache = None
+    fabric.resync()
 
 
 def _restore_port(runtime: RisppRuntime, data: dict[str, Any]) -> list[RotationJob]:
@@ -421,6 +420,7 @@ def _restore_port(runtime: RisppRuntime, data: dict[str, Any]) -> list[RotationJ
     port._pending = [jobs[i] for i in data["pending"]]
     port._reserved = set(data["reserved"])
     port.busy_until = data["busy_until"]
+    port.invalidate_horizon()
     return jobs
 
 
@@ -516,10 +516,8 @@ def _restore_manager(runtime: RisppRuntime, data: dict[str, Any]) -> None:
             {str(kind): int(count) for kind, count in plan_key["loaded"].items()}
         )
         runtime._plan_key = (weights, loaded)
-    # Pure memoization caches; dropping them costs one recomputation.
-    runtime._impl_cache.clear()
-    runtime._impl_cache_gen = -1
-    runtime._rc_cache.clear()
+    # A pure memoization cache; dropping it costs one recomputation.
+    runtime._dispatch.clear()
 
 
 def _restore_trace(runtime: RisppRuntime, data: dict[str, Any]) -> None:

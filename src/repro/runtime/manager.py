@@ -17,7 +17,11 @@ c) **Scheduling** — the selected demand is handed to the rotation
 SI execution is *gradual*: whatever Atoms happen to be loaded at call
 time determine the molecule (or the software fallback) — the paper's
 "Rotation in Advance" upgrade behaviour falls out of re-evaluating
-``best_available`` on every execution.
+``best_available`` whenever the fabric changed.  Between port and fault
+events an execution costs O(1): the port's cached event horizon makes
+:meth:`RisppRuntime.advance` return at once, and the per-SI dispatch
+cache (keyed by the fabric generation) holds the chosen implementation
+and the containers it touches.
 
 With ``forecasting=False`` the manager degrades to rotate-on-demand
 (rotations start only when an SI is first executed) — the baseline for
@@ -27,12 +31,12 @@ the forecast ablation bench.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..core.library import SILibrary
 from ..core.molecule import Molecule
 from ..core.selection import ForecastedSI, select_greedy
-from ..core.si import MoleculeImpl
+from ..core.si import MoleculeImpl, SpecialInstruction
 from ..hardware.fabric import Fabric
 from ..hardware.reconfig import ReconfigurationPort, RotationJob
 from ..sim.trace import Trace
@@ -72,6 +76,19 @@ class RuntimeStats:
 
     def total_energy_nj(self) -> float:
         return self.rotation_energy_nj + self.execution_energy_nj
+
+
+class _Dispatch(NamedTuple):
+    """One SI's dispatch decision, valid for one fabric generation."""
+
+    generation: int
+    impl: MoleculeImpl | None
+    cycles: int
+    mode: str
+    #: Ids of the containers whose ``last_used`` an execution updates.
+    touch: tuple[int, ...]
+    #: Slices of the molecule's atoms (the energy model's active area).
+    slices: int
 
 
 @dataclass
@@ -146,13 +163,10 @@ class RisppRuntime:
         #: A previous plan could not place every demanded atom (all
         #: containers were reserved); retry when rotations complete.
         self._unplaced_for: str | None = None
-        #: Memoized ``best_available`` per SI, valid for one fabric
-        #: generation: between rotations the fabric does not change, so
-        #: neither does the chosen implementation.
-        self._impl_cache: dict[str, MoleculeImpl | None] = {}
-        self._impl_cache_gen = -1
-        #: Memoized reconfigurable projection per implementation object.
-        self._rc_cache: dict[int, Molecule] = {}
+        #: Per-SI dispatch decision, each valid for the fabric generation
+        #: it records: between rotations the fabric does not change, so
+        #: neither do the chosen implementation and its containers.
+        self._dispatch: dict[str, _Dispatch] = {}
         #: Input signature (weight vector, future population) of the last
         #: replan that issued nothing; an identical signature makes the
         #: next replan a guaranteed no-op, so it is skipped.
@@ -212,11 +226,15 @@ class RisppRuntime:
         completions are drained up to each fault cycle before the fault
         fires, so injections always see the hardware state of their cycle.
         """
+        port = self.port
+        if port.horizon_generation != self.fabric.generation:
+            port.refresh_horizon(self.fabric)
         faults = self._faults
-        if self.port.is_idle() and (
+        if now < port.horizon and (
             faults is None or faults.next_cycle(now) is None
         ):
-            # Nothing scheduled, in flight, or due: state cannot change.
+            # Before the port's next start or completion, with no fault
+            # due: advancing the port would provably change nothing.
             return
         if faults is not None:
             while True:
@@ -290,25 +308,24 @@ class RisppRuntime:
         Uses the fastest molecule the *currently loaded* Atoms support and
         falls back to the optimised software molecule otherwise.
         """
-        si = self.library.get(si_name)
+        if si_name not in self._dispatch:
+            self.library.get(si_name)  # unknown SIs raise before any change
         self.advance(now)
-        if not self.forecasting and (task, si_name) not in self._active:
+        key = (task, si_name)
+        if not self.forecasting and key not in self._active:
             # Rotate-on-demand baseline: first use triggers the rotation.
-            self._active[(task, si_name)] = _ActiveForecast(
+            self._active[key] = _ActiveForecast(
                 task=task, si_name=si_name, weight=1.0, priority=1.0
             )
             self.publish(
                 events.ReplanRequested(now, task=task, reason="on_demand")
             )
-        impl = self._best_available(si)
-        if impl is None:
-            cycles = si.software_cycles
-            mode = "SW"
-        else:
-            cycles = impl.cycles
-            mode = impl.label or "HW"
-            self.fabric.touch_atoms(self._reconfigurable_of(impl), now)
-        previous = self._last_mode.get((task, si_name))
+        entry = self._current_dispatch(si_name)
+        impl, cycles, mode = entry.impl, entry.cycles, entry.mode
+        containers = self.fabric.containers
+        for container_id in entry.touch:
+            containers[container_id].last_used = now
+        previous = self._last_mode.get(key)
         if previous is not None and previous != mode:
             self.stats.mode_switches += 1
             self.publish(
@@ -321,19 +338,18 @@ class RisppRuntime:
                     cycles=cycles,
                 )
             )
-        self._last_mode[(task, si_name)] = mode
+        self._last_mode[key] = mode
         # Execution accounting is the publisher's own bookkeeping (it
         # computes the return value's energy attribution); handlers
         # get the settled picture.
-        per_task = self.task_stats.setdefault(task, RuntimeStats())
+        task_stats = self.task_stats
+        if task in task_stats:
+            per_task = task_stats[task]
+        else:
+            per_task = task_stats[task] = RuntimeStats()
         energy = 0.0
         if self.energy_model is not None:
-            active_slices = 0
-            if impl is not None:
-                for kind_name in impl.molecule.kinds_used():
-                    kind = self.library.catalogue.get(kind_name)
-                    active_slices += kind.slices * impl.molecule.count(kind_name)
-            energy = self.energy_model.execution_energy_nj(active_slices, cycles)
+            energy = self.energy_model.execution_energy_nj(entry.slices, cycles)
         for stats in (self.stats, per_task):
             stats.si_executions += 1
             stats.si_cycles += cycles
@@ -399,48 +415,58 @@ class RisppRuntime:
     def si_cycles(self, si_name: str, now: int) -> int:
         """Latency one execution would take right now (no side effects)."""
         self.advance(now)
-        si = self.library.get(si_name)
-        impl = self._best_available(si)
-        return si.software_cycles if impl is None else impl.cycles
+        return self._current_dispatch(si_name).cycles
 
     def si_mode(self, si_name: str, now: int) -> str:
         """Current execution mode: a molecule label or ``"SW"``."""
         self.advance(now)
-        impl = self._best_available(self.library.get(si_name))
-        return (impl.label or "HW") if impl is not None else "SW"
+        return self._current_dispatch(si_name).mode
 
     # -- internals -----------------------------------------------------------------
 
-    def _best_available(self, si) -> MoleculeImpl | None:
-        """``si.best_available`` memoized against the fabric generation.
+    def _current_dispatch(self, si_name: str) -> _Dispatch:
+        """The SI's dispatch for the current fabric generation."""
+        entry = self._dispatch.get(si_name)
+        if entry is None or entry.generation != self.fabric.generation:
+            entry = self._dispatch_entry(si_name)
+        return entry
 
-        Between rotations the available-atom molecule cannot change, so
-        the lattice scan over the SI's implementations is done once per
-        (SI, fabric state) instead of once per execution.
+    def _dispatch_entry(self, si_name: str) -> _Dispatch:
+        """Recompute and cache one SI's dispatch for the current fabric.
+
+        Runs once per (SI, fabric generation): the lattice scan over the
+        SI's implementations, the containers backing the chosen molecule
+        (the first usable holders of each atom, in id order) and the
+        molecule's active slices for the energy model.
         """
-        gen = self.fabric.generation
-        if gen != self._impl_cache_gen:
-            self._impl_cache.clear()
-            self._impl_cache_gen = gen
-        try:
-            return self._impl_cache[si.name]
-        except KeyError:
-            impl = si.best_available(self.fabric.available_atoms())
-            self._impl_cache[si.name] = impl
-            return impl
+        si = self.library.get(si_name)
+        impl = self._best_available(si)
+        if impl is None:
+            entry = _Dispatch(
+                self.fabric.generation, None, si.software_cycles, "SW", (), 0
+            )
+        else:
+            catalogue = self.library.catalogue
+            molecule = impl.molecule
+            entry = _Dispatch(
+                self.fabric.generation,
+                impl,
+                impl.cycles,
+                impl.label or "HW",
+                self.fabric.backing(
+                    self.library.restricted_to_reconfigurable(molecule)
+                ),
+                sum(
+                    catalogue.get(kind).slices * molecule.count(kind)
+                    for kind in molecule.kinds_used()
+                ),
+            )
+        self._dispatch[si_name] = entry
+        return entry
 
-    def _reconfigurable_of(self, impl: MoleculeImpl) -> Molecule:
-        """Reconfigurable projection of an implementation, memoized.
-
-        Implementations are immutable and owned by the library, so the
-        projection is computed once per object for the runtime's life.
-        """
-        key = id(impl)
-        cached = self._rc_cache.get(key)
-        if cached is None:
-            cached = self.library.restricted_to_reconfigurable(impl.molecule)
-            self._rc_cache[key] = cached
-        return cached
+    def _best_available(self, si: SpecialInstruction) -> MoleculeImpl | None:
+        """The fastest implementation the loaded atoms support, if any."""
+        return si.best_available(self.fabric.available_atoms())
 
     def _replan(self, now: int, *, triggering_task: str) -> None:
         weights: dict[str, float] = {}

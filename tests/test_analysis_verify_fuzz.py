@@ -267,12 +267,16 @@ class TestGoldenLoader:
                 {**GOLDEN_DOC, "energy_model": {"volts": 1}},
                 "field 'energy_model' is invalid",
             ),
+            ({**GOLDEN_DOC, "containers": 10**9}, "field 'containers' is"),
+            ({**GOLDEN_DOC, "totals": {"bogus": "x"}}, "'totals.bogus' is unknown"),
+            ({**GOLDEN_DOC, "totals": [1]}, "'totals' is not a JSON object"),
         ],
         ids=[
             "list", "string", "number", "no-library", "no-containers",
             "null-containers", "negative-containers", "zero-core-mhz",
             "nan-port-rate", "event-without-cycle", "event-not-object",
             "unknown-event-kind", "unknown-energy-field",
+            "huge-containers", "unknown-total", "totals-not-object",
         ],
     )
     def test_malformed_document_names_the_field(self, payload, message):

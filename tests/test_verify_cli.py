@@ -7,6 +7,8 @@ files) exit 2.
 """
 
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,10 @@ def golden_path(tmp_path_factory):
     assert code == 0
     assert path.exists()
     return path
+
+
+#: The shipped synthetic golden trace (``tests/golden``).
+SHIPPED_GOLDEN = Path(__file__).parent / "golden" / "synthetic.json"
 
 
 def _load(path):
@@ -254,3 +260,49 @@ class TestUsageErrors:
                 "--emit-golden", "/tmp/out.json",
             ])
         assert excinfo.value.code == 2
+
+
+class TestShippedGoldenTotals:
+    """Run totals and platform size in the shipped synthetic golden trace."""
+
+    def _verify(self, tmp_path, mutate):
+        data = _load(SHIPPED_GOLDEN)
+        mutate(data)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data))
+        return main(["verify", "--trace", str(path), "--format", "json"])
+
+    def test_shipped_golden_is_clean(self, capsys):
+        assert main(["verify", "--trace", str(SHIPPED_GOLDEN)]) == 0
+
+    def test_unknown_total_key_exits_two(self, tmp_path, capsys):
+        def mutate(data):
+            data["totals"] = {"bogus": "x"}
+
+        with pytest.raises(SystemExit) as excinfo:
+            self._verify(tmp_path, mutate)
+        assert excinfo.value.code == 2
+        assert "'totals.bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["si_cycles", "mode_switches"])
+    def test_missing_checked_total_is_trc007(self, tmp_path, capsys, key):
+        def mutate(data):
+            del data["totals"][key]
+
+        assert self._verify(tmp_path, mutate) == 1
+        payload = json.loads(capsys.readouterr().out)
+        findings = [
+            d for d in payload["findings"] if d["rule_id"] == "TRC007"
+        ]
+        assert findings and all(key in d["message"] for d in findings)
+
+    def test_absurd_container_count_exits_two_at_once(self, tmp_path, capsys):
+        def mutate(data):
+            data["containers"] = 10**9
+
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as excinfo:
+            self._verify(tmp_path, mutate)
+        assert time.perf_counter() - start < 1.0
+        assert excinfo.value.code == 2
+        assert "'containers'" in capsys.readouterr().err
